@@ -11,8 +11,6 @@ package serve
 // or the floor demands exact answers.
 
 import (
-	"fmt"
-
 	"vqpy"
 )
 
@@ -25,6 +23,9 @@ type FidelityRequest struct {
 	// both demand exact answers, which only the live full-fidelity path
 	// provides — fidelity serving is opt-in per request.
 	Accuracy float64
+	// Tenant is who the query's virtual cost is billed to; ignored in
+	// single-tenant mode.
+	Tenant string
 }
 
 // FidelitySummary is the wire-level fidelity-query reply.
@@ -61,78 +62,61 @@ type FidelitySummary struct {
 
 // FidelityQuery answers one accuracy-budgeted query over a source's
 // fed frames. Requires the daemon to run with -store (the index is not
-// involved); refused in fleet mode and while draining. Synchronous and
-// lock-holding like Search: frame feeding pauses for its duration, and
-// warmed tiers replay from the store so repeat queries are cheap.
+// involved); refused in fleet mode and while draining. Synchronous like
+// Search, and like it holds no lock a tick needs; warmed tiers replay
+// from the store so repeat queries are cheap.
 func (s *Server) FidelityQuery(req FidelityRequest) (*FidelitySummary, error) {
 	q, err := BuildQuery(req.Query)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, ErrDraining
-	}
-	if s.fleet != nil {
-		return nil, fmt.Errorf("serve: fidelity queries are per-source; fleet mode does not support them")
-	}
-	if s.store == nil {
-		return nil, fmt.Errorf("serve: fidelity queries require the daemon to run with -store")
-	}
-	src, ok := s.sources[req.Source]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown source %q: %w", req.Source, ErrNotFound)
-	}
-	fed := src.fed
-	if n := len(src.video.Frames); fed > n {
-		fed = n // loop mode wraps; tier archives are keyed by clip frame index
-	}
-	if fed == 0 {
-		return nil, fmt.Errorf("serve: source %q has no fed frames to answer yet", req.Source)
-	}
-
-	// Warm the reduced tiers of the lattice up to the fed watermark (the
-	// full-fidelity head tier is skipped: archiving it would cost a full
-	// pass the live fallback already prices). Warming runs on the
-	// source's session, so the cost lands on its clock like live work.
-	for _, fid := range vqpy.FidelityLattice("")[1:] {
-		if _, err := src.session.ArchiveFidelity(q, src.video, fid, fed, vqpy.WithStore(s.store)); err != nil {
-			return nil, err
+	var sum *FidelitySummary
+	err = s.runSync(&fidelityMode, req.Tenant, req.Source, func(sess *vqpy.Session, v *vqpy.Video, fed int) error {
+		// Warm the reduced tiers of the lattice up to the fed watermark
+		// (the full-fidelity head tier is skipped: archiving it would
+		// cost a full pass the live fallback already prices). Warming
+		// runs on the fork, so the cost lands on the source's clock like
+		// live work.
+		for _, fid := range vqpy.FidelityLattice("")[1:] {
+			if _, err := sess.ArchiveFidelity(q, v, fid, fed, vqpy.WithStore(s.store)); err != nil {
+				return err
+			}
 		}
-	}
-	res, err := src.session.ExecuteFidelity(q, src.video, fed,
-		vqpy.WithStore(s.store), vqpy.WithMinAccuracy(req.Accuracy))
-	if err != nil {
-		return nil, err
-	}
-
-	chosen := res.Decision.ChosenCandidate()
-	s.counters.Add("fidelity_queries", 1)
-	s.counters.Add("fidelity_replayed_frames", int64(res.ReplayedFrames))
-	s.counters.Add("fidelity_degraded_frames", int64(res.DegradedFrames))
-	s.counters.Add("fidelity_residual_frames", int64(res.ResidualFrames))
-	if chosen.Live {
-		s.counters.Add("fidelity_live_decisions", 1)
-	} else {
-		s.counters.Add("fidelity_tier_decisions", 1)
-	}
-	matched := 0
-	for _, m := range res.Matched {
-		if m {
-			matched++
+		res, err := sess.ExecuteFidelity(q, v, fed,
+			vqpy.WithStore(s.store), vqpy.WithMinAccuracy(req.Accuracy))
+		if err != nil {
+			return err
 		}
-	}
-	return &FidelitySummary{
-		Source: req.Source, Query: req.Query, Accuracy: req.Accuracy,
-		Frames: fed,
-		Chosen: chosen.Key, Live: chosen.Live,
-		EstimatedAccuracy: chosen.Accuracy, CostMS: chosen.CostMS,
-		ReplayedFrames: res.ReplayedFrames, DegradedFrames: res.DegradedFrames,
-		ResidualFrames:    res.ResidualFrames,
-		SkippedUnreadable: res.Decision.SkippedUnreadable,
-		Candidates:        res.Decision.Candidates,
-		MatchedFrames:     matched, Hits: len(res.Hits),
-		VirtualMS: res.VirtualMS,
-	}, nil
+
+		chosen := res.Decision.ChosenCandidate()
+		s.counters.Add("fidelity_queries", 1)
+		s.counters.Add("fidelity_replayed_frames", int64(res.ReplayedFrames))
+		s.counters.Add("fidelity_degraded_frames", int64(res.DegradedFrames))
+		s.counters.Add("fidelity_residual_frames", int64(res.ResidualFrames))
+		if chosen.Live {
+			s.counters.Add("fidelity_live_decisions", 1)
+		} else {
+			s.counters.Add("fidelity_tier_decisions", 1)
+		}
+		matched := 0
+		for _, m := range res.Matched {
+			if m {
+				matched++
+			}
+		}
+		sum = &FidelitySummary{
+			Source: req.Source, Query: req.Query, Accuracy: req.Accuracy,
+			Frames: fed,
+			Chosen: chosen.Key, Live: chosen.Live,
+			EstimatedAccuracy: chosen.Accuracy, CostMS: chosen.CostMS,
+			ReplayedFrames: res.ReplayedFrames, DegradedFrames: res.DegradedFrames,
+			ResidualFrames:    res.ResidualFrames,
+			SkippedUnreadable: res.Decision.SkippedUnreadable,
+			Candidates:        res.Decision.Candidates,
+			MatchedFrames:     matched, Hits: len(res.Hits),
+			VirtualMS: res.VirtualMS,
+		}
+		return nil
+	})
+	return sum, err
 }

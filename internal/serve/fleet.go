@@ -13,7 +13,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"vqpy"
 
@@ -35,9 +35,17 @@ import (
 // identity registry, the cross-source batch scheduler, and the live
 // fleet-wide query registrations.
 type fleetState struct {
-	reg     *vqpy.GlobalRegistry
-	batch   *exec.BatchScheduler
-	queries map[int]*fleetQuery
+	reg   *vqpy.GlobalRegistry
+	batch *exec.BatchScheduler
+
+	// mu is the one lock over the lockstep tick: it is held for a whole
+	// batch window, and by a fleet-wide attach or detach from planning
+	// to the last lane, so lanes join and leave every camera at the
+	// same tick boundary and canary profiling never interleaves its
+	// identity resolutions with a tick's. Taken before Server.mu.
+	mu sync.Mutex
+
+	queries map[int]*fleetQuery // guarded by Server.mu
 }
 
 // fleetQuery is one live fleet-wide query: its per-source lanes and
@@ -87,38 +95,23 @@ func (s *Server) initFleet() error {
 	return nil
 }
 
-// fleetStepLocked advances every camera by one lockstep frame inside a
-// batch window. A camera whose feed fails is marked done with its
-// error recorded (stepLocked) and the OTHERS keep stepping — one bad
-// camera must not freeze the fleet silently. The first error is still
-// returned for callers that surface it. Callers hold s.mu.
-func (s *Server) fleetStepLocked() error {
+// fleetStep advances every camera by one lockstep frame inside a batch
+// window, under the fleet lock. A camera whose feed fails is marked
+// done with its error recorded (step) and the OTHERS keep stepping —
+// one bad camera must not freeze the fleet silently. The first error is
+// still returned for callers that surface it.
+func (s *Server) fleetStep() error {
+	s.fleet.mu.Lock()
+	defer s.fleet.mu.Unlock()
 	s.fleet.batch.BeginTick()
 	defer s.fleet.batch.FlushTick()
 	var firstErr error
 	for _, name := range s.order {
-		if err := s.stepLocked(name); err != nil && firstErr == nil {
+		if err := s.step(s.sources[name]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
-}
-
-// fleetLoadLocked sums fleet-query admission estimates resident on one
-// source. Callers hold s.mu.
-func (s *Server) fleetLoadLocked(source string) (float64, int) {
-	if s.fleet == nil {
-		return 0, 0
-	}
-	var load float64
-	n := 0
-	for _, q := range s.fleet.queries {
-		if est, ok := q.estMS[source]; ok {
-			load += est
-			n++
-		}
-	}
-	return load, n
 }
 
 // AttachFleet plans a fleet catalogue query for every camera and
@@ -135,11 +128,10 @@ func (s *Server) AttachFleet(queryName string) (int, error) {
 // budget, and rejections are ErrTenantBudget (429). In single-tenant
 // mode the tenant name is ignored.
 func (s *Server) AttachFleetAs(tenant, queryName string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return 0, ErrDraining
+	if err := s.enter(); err != nil {
+		return 0, err
 	}
+	defer s.inflight.Done()
 	if s.fleet == nil {
 		return 0, fmt.Errorf("serve: fleet mode disabled (run with -fleet): %w", ErrNotFound)
 	}
@@ -147,15 +139,10 @@ func (s *Server) AttachFleetAs(tenant, queryName string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("serve: unknown fleet query %q (have %v): %w", queryName, FleetQueryNames(), ErrNotFound)
 	}
-	st, err := s.resolveTenantLocked(tenant)
-	if err != nil {
-		return 0, err
-	}
-	owner := ""
-	if st != nil {
-		owner = st.cfg.Name
-	}
-	// Plan and admit on every camera before attaching anywhere.
+	s.fleet.mu.Lock()
+	defer s.fleet.mu.Unlock()
+	// Plan on every camera before admitting anywhere. The fleet lock
+	// keeps the lockstep tick out, so no other lock is needed here.
 	plans := make(map[string]*vqpy.Plan, len(s.order))
 	est := make(map[string]float64, len(s.order))
 	for _, name := range s.order {
@@ -164,41 +151,37 @@ func (s *Server) AttachFleetAs(tenant, queryName string) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if s.cfg.BudgetMS > 0 {
-			if st != nil {
-				slice := s.tenantSliceLocked(st)
-				load, resident := s.estTenantLoadLocked(name, owner)
-				if load+plan.EstPerFrameMS > slice {
-					s.counters.Add("admission_rejected", 1)
-					s.counters.Add("admission_rejected:"+name, 1)
-					s.counters.Add("tenant_admission_rejected:"+owner, 1)
-					return 0, &ErrTenantBudget{
-						Tenant: owner, Source: name, EstMS: plan.EstPerFrameMS,
-						LoadMS: load, SliceMS: slice, ResidentQueries: resident,
-						RetryAfterSec: 1,
-					}
-				}
-			} else {
-				load, resident := s.estLoadLocked(name)
-				if load+plan.EstPerFrameMS > s.cfg.BudgetMS {
-					s.counters.Add("admission_rejected", 1)
-					s.counters.Add("admission_rejected:"+name, 1)
-					return 0, &ErrAdmission{
-						Source: name, EstMS: plan.EstPerFrameMS,
-						LoadMS: load, BudgetMS: s.cfg.BudgetMS, ResidentQueries: resident,
-					}
-				}
-			}
-		}
 		plans[name] = plan
 		est[name] = plan.EstPerFrameMS
 	}
+
+	// Admit on every camera, attach everywhere and register, as one
+	// step against the registry: no tick can be running, so the source
+	// and mux locks taken under it are free.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, err := s.resolveTenantLocked(tenant)
+	if err != nil {
+		return 0, err
+	}
+	owner := ""
+	if st != nil {
+		owner = st.cfg.Name
+	}
+	for _, name := range s.order {
+		if err := s.admitLocked(st, name, est[name]); err != nil {
+			return 0, err
+		}
+	}
 	lanes := make(map[string]int, len(s.order))
 	for _, name := range s.order {
-		lane, err := s.sources[name].mux.Attach(plans[name])
+		src := s.sources[name]
+		src.mu.Lock()
+		lane, err := src.mux.Attach(plans[name])
+		src.mu.Unlock()
 		if err != nil {
 			for prev, l := range lanes {
-				_, _ = s.sources[prev].mux.Detach(l)
+				_, _ = s.detachLane(s.sources[prev], l)
 			}
 			return 0, fmt.Errorf("serve: fleet attach on %s: %w", name, err)
 		}
@@ -212,28 +195,46 @@ func (s *Server) AttachFleetAs(tenant, queryName string) (int, error) {
 	return id, nil
 }
 
-// DetachFleet removes a fleet query from every camera and returns the
-// final per-source results.
-func (s *Server) DetachFleet(id int) (map[string]*vqpy.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// lookupFleetQuery resolves a live fleet query id, removing it from the
+// registry when take is set.
+func (s *Server) lookupFleetQuery(id int, take bool) (*fleetQuery, error) {
 	if s.fleet == nil {
 		return nil, fmt.Errorf("serve: fleet mode disabled: %w", ErrNotFound)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	q, ok := s.fleet.queries[id]
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown fleet query %d: %w", id, ErrNotFound)
 	}
+	if take {
+		delete(s.fleet.queries, id)
+	}
+	return q, nil
+}
+
+// DetachFleet removes a fleet query from every camera and returns the
+// final per-source results.
+func (s *Server) DetachFleet(id int) (map[string]*vqpy.Result, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	defer s.inflight.Done()
+	q, err := s.lookupFleetQuery(id, true)
+	if err != nil {
+		return nil, err
+	}
+	s.fleet.mu.Lock()
+	defer s.fleet.mu.Unlock()
 	out := make(map[string]*vqpy.Result, len(q.lanes))
 	var firstErr error
 	for name, lane := range q.lanes {
-		res, err := s.sources[name].mux.Detach(lane)
+		res, err := s.detachLane(s.sources[name], lane)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		out[name] = res
 	}
-	delete(s.fleet.queries, id)
 	s.counters.Add("fleet_queries_detached", 1)
 	return out, firstErr
 }
@@ -268,23 +269,27 @@ type FleetResultView struct {
 // least minSources cameras within windowSec seconds"; minSources < 2
 // defaults to 2, windowSec <= 0 means unbounded).
 func (s *Server) FleetResults(id, minSources int, windowSec float64) (*FleetResultView, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fleet == nil {
-		return nil, fmt.Errorf("serve: fleet mode disabled: %w", ErrNotFound)
+	if err := s.enter(); err != nil {
+		return nil, err
 	}
-	q, ok := s.fleet.queries[id]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown fleet query %d: %w", id, ErrNotFound)
+	defer s.inflight.Done()
+	q, err := s.lookupFleetQuery(id, false)
+	if err != nil {
+		return nil, err
 	}
+	// The fleet lock keeps the snapshots on one tick boundary (and the
+	// lanes from leaving under a concurrent DetachFleet).
+	s.fleet.mu.Lock()
 	perSource := make(map[string]*vqpy.Result, len(q.lanes))
 	for name, lane := range q.lanes {
 		res, err := s.sources[name].mux.Snapshot(lane)
 		if err != nil {
-			return nil, err
+			s.fleet.mu.Unlock()
+			return nil, fmt.Errorf("serve: fleet query %d detached: %w", id, ErrNotFound)
 		}
 		perSource[name] = res
 	}
+	s.fleet.mu.Unlock()
 	if minSources < 2 {
 		minSources = 2
 	}
@@ -343,12 +348,7 @@ func (s *Server) fleetStatLocked() *FleetStat {
 		CrossCamera: regStats.CrossCamera,
 		Batch:       s.fleet.batch.Stats(),
 	}
-	ids := make([]int, 0, len(s.fleet.queries))
-	for id := range s.fleet.queries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(s.fleet.queries) {
 		q := s.fleet.queries[id]
 		total := 0.0
 		for _, est := range q.estMS {

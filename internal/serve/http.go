@@ -39,7 +39,7 @@ package serve
 //	                                   cross-camera predicate)
 //
 // The handlers are thin JSON adapters over the Server methods; all
-// concurrency control lives there.
+// concurrency control lives there (the lock hierarchy is on Server).
 
 import (
 	"encoding/json"
@@ -285,7 +285,7 @@ func (s *Server) modeAttach(w http.ResponseWriter, tenant string, body []byte) {
 	writeJSON(w, http.StatusOK, attachResponse{ID: id, Source: req.Source, Query: req.Query, Tenant: tenant, Backfill: req.Backfill})
 }
 
-func (s *Server) modeSearch(w http.ResponseWriter, _ string, body []byte) {
+func (s *Server) modeSearch(w http.ResponseWriter, tenant string, body []byte) {
 	var req searchModeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
@@ -294,6 +294,7 @@ func (s *Server) modeSearch(w http.ResponseWriter, _ string, body []byte) {
 	sum, err := s.Search(SearchRequest{
 		Source: req.Source, Query: req.Query,
 		Track: req.Track, Threshold: req.Threshold, TopK: req.TopK,
+		Tenant: tenant,
 	})
 	if err != nil {
 		writeErr(w, err)
@@ -302,7 +303,7 @@ func (s *Server) modeSearch(w http.ResponseWriter, _ string, body []byte) {
 	writeJSON(w, http.StatusOK, sum)
 }
 
-func (s *Server) modeFidelity(w http.ResponseWriter, _ string, body []byte) {
+func (s *Server) modeFidelity(w http.ResponseWriter, tenant string, body []byte) {
 	var req fidelityModeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
@@ -310,6 +311,7 @@ func (s *Server) modeFidelity(w http.ResponseWriter, _ string, body []byte) {
 	}
 	sum, err := s.FidelityQuery(FidelityRequest{
 		Source: req.Source, Query: req.Query, Accuracy: req.Accuracy,
+		Tenant: tenant,
 	})
 	if err != nil {
 		writeErr(w, err)
@@ -318,13 +320,13 @@ func (s *Server) modeFidelity(w http.ResponseWriter, _ string, body []byte) {
 	writeJSON(w, http.StatusOK, sum)
 }
 
-func (s *Server) modeText(w http.ResponseWriter, _ string, body []byte) {
+func (s *Server) modeText(w http.ResponseWriter, tenant string, body []byte) {
 	var req textModeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
 		return
 	}
-	sum, err := s.TextQuery(TextRequest{Source: req.Source, Text: req.Text, Eager: req.Eager})
+	sum, err := s.TextQuery(TextRequest{Source: req.Source, Text: req.Text, Eager: req.Eager, Tenant: tenant})
 	if err != nil {
 		writeErr(w, err)
 		return

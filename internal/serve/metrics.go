@@ -2,9 +2,8 @@ package serve
 
 // GET /metrics assembly (DESIGN.md §11): the daemon's counters and
 // gauges as Prometheus text-format families. Everything derives from
-// one Streamz snapshot — a single lock acquisition, no new
-// bookkeeping — so a scrape costs the same as a /streamz read and the
-// two views can never disagree.
+// one Streamz snapshot — no new bookkeeping — so a scrape costs the
+// same as a /streamz read and the two views can never disagree.
 //
 // Naming: every metric is vqserve_*; event counters carry the _total
 // suffix with the "base:target" counter convention mapped to a target
@@ -65,6 +64,8 @@ func (s *Server) MetricsFamilies() []metrics.Family {
 		func(src SourceStat) float64 { return src.BudgetMS })
 	srcGauge("vqserve_source_virtual_ms", "Accumulated virtual model time per source.",
 		func(src SourceStat) float64 { return src.VirtualMS })
+	srcGauge("vqserve_source_sync_inflight", "Synchronous queries admitted on the source and not yet answered.",
+		func(src SourceStat) float64 { return float64(src.SyncInflight) })
 	srcGauge("vqserve_source_degraded_frames", "Frames answered in degraded mode per source.",
 		func(src SourceStat) float64 { return float64(src.DegradedFrames) })
 	srcGauge("vqserve_source_quarantined", "1 while the source is under stall quarantine.",
@@ -152,13 +153,16 @@ func (s *Server) MetricsFamilies() []metrics.Family {
 		slice := metrics.Gauge("vqserve_tenant_budget_ms", "Tenant's slice of each source's admission budget.")
 		tokens := metrics.Gauge("vqserve_tenant_tokens", "Rate-limit tokens currently in the tenant's bucket.")
 		resident := metrics.Gauge("vqserve_tenant_resident_queries", "Live queries owned by the tenant.")
+		syncMS := metrics.Counter("vqserve_tenant_sync_virtual_ms_total",
+			"Virtual ms of the tenant's synchronous queries (count: vqserve_tenant_sync_queries_total).")
 		for _, t := range st.Tenants {
 			share.Samples = append(share.Samples, metrics.LV("tenant", t.Name, t.Share))
 			slice.Samples = append(slice.Samples, metrics.LV("tenant", t.Name, t.SliceMS))
 			tokens.Samples = append(tokens.Samples, metrics.LV("tenant", t.Name, t.Tokens))
 			resident.Samples = append(resident.Samples, metrics.LV("tenant", t.Name, float64(t.ResidentQueries)))
+			syncMS.Samples = append(syncMS.Samples, metrics.LV("tenant", t.Name, t.SyncVirtualMS))
 		}
-		fams = append(fams, share, slice, tokens, resident)
+		fams = append(fams, share, slice, tokens, resident, syncMS)
 	}
 
 	return fams

@@ -30,6 +30,9 @@ type SearchRequest struct {
 	// TopK keeps only the best-ranked matching tracks (0 keeps all).
 	Threshold float64
 	TopK      int
+	// Tenant is who the query's virtual cost is billed to; ignored in
+	// single-tenant mode.
+	Tenant string
 }
 
 // SearchSummary is the wire-level search reply.
@@ -64,82 +67,65 @@ type SearchSummary struct {
 
 // Search answers one archive search over a source's fed frames.
 // Requires the daemon to run with -store and -index; refused in fleet
-// mode and while draining. The call is synchronous and holds the server
-// lock: frame feeding pauses for its duration (the warm pass replays
-// archived frames, so a warm search is cheap).
+// mode and while draining. The call is synchronous but holds no lock a
+// tick needs (see runSync): frames keep flowing on every source while
+// it runs, and searches on one source run one at a time (the warm pass
+// replays archived frames, so a warm search is cheap).
 func (s *Server) Search(req SearchRequest) (*SearchSummary, error) {
 	q, err := BuildQuery(req.Query)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, ErrDraining
-	}
-	if s.fleet != nil {
-		return nil, fmt.Errorf("serve: archive search is per-source; fleet mode does not support it")
-	}
-	if s.store == nil || s.index == nil {
-		return nil, fmt.Errorf("serve: archive search requires the daemon to run with -store and -index")
-	}
-	src, ok := s.sources[req.Source]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown source %q: %w", req.Source, ErrNotFound)
-	}
-	fed := src.fed
-	if n := len(src.video.Frames); fed > n {
-		fed = n // loop mode wraps; the archive is keyed by clip frame index
-	}
-	if fed == 0 {
-		return nil, fmt.Errorf("serve: source %q has no fed frames to search yet", req.Source)
-	}
-
-	// Bring archive coverage and the index up to the fed watermark, then
-	// search. All three run on the source's session, so the cost lands
-	// on its clock like the live work does.
-	if err := src.session.WarmSearchArchive(q, src.video, fed, vqpy.WithStore(s.store)); err != nil {
-		return nil, err
-	}
-	if _, err := src.session.IndexArchive(s.index, q, src.video, fed, vqpy.WithStore(s.store)); err != nil {
-		return nil, err
-	}
-	spec := vqpy.SearchSpec{Query: q, Threshold: req.Threshold, TopK: req.TopK, Frames: fed}
-	if req.Track != nil {
-		spec.Track = *req.Track
-	} else {
-		ex, ok := s.index.Exemplar()
-		if !ok {
-			return nil, fmt.Errorf("serve: index holds no embeddable exemplar; pass \"track\" explicitly")
+	var sum *SearchSummary
+	err = s.runSync(&searchMode, req.Tenant, req.Source, func(sess *vqpy.Session, v *vqpy.Video, fed int) error {
+		// Bring archive coverage and the index up to the fed watermark,
+		// then search. All three run on the fork, so the cost lands on
+		// the source's clock like the live work does.
+		if err := sess.WarmSearchArchive(q, v, fed, vqpy.WithStore(s.store)); err != nil {
+			return err
 		}
-		spec.Track = ex.Track
-	}
-	res, err := src.session.Search(src.video, spec, vqpy.WithStore(s.store), vqpy.WithIndex(s.index))
-	if err != nil {
-		return nil, err
-	}
-
-	s.counters.Add("searches", 1)
-	s.counters.Add("search_frames", int64(fed))
-	s.counters.Add("search_verified_frames", int64(res.VerifiedFrames))
-	s.counters.Add("search_residual_frames", int64(res.ResidualFrames))
-	matched := 0
-	for _, m := range res.Matched {
-		if m {
-			matched++
+		if _, err := sess.IndexArchive(s.index, q, v, fed, vqpy.WithStore(s.store)); err != nil {
+			return err
 		}
-	}
-	wire := *res
-	wire.IR = nil
-	return &SearchSummary{
-		Source: req.Source, Query: req.Query, Track: spec.Track,
-		Threshold: res.IR.Probe.Threshold,
-		UsedIndex: res.UsedIndex, Covered: res.Covered,
-		CandidateTracks: res.CandidateTracks,
-		VerifiedFrames:  res.VerifiedFrames, ResidualFrames: res.ResidualFrames,
-		SearchFrames:  fed,
-		MatchedTracks: res.MatchedTracks, Sims: res.Sims,
-		MatchedFrames: matched, Hits: len(res.Hits),
-		VirtualMS: res.VirtualMS, Result: &wire,
-	}, nil
+		spec := vqpy.SearchSpec{Query: q, Threshold: req.Threshold, TopK: req.TopK, Frames: fed}
+		if req.Track != nil {
+			spec.Track = *req.Track
+		} else {
+			ex, ok := s.index.Exemplar()
+			if !ok {
+				return fmt.Errorf("serve: index holds no embeddable exemplar; pass \"track\" explicitly")
+			}
+			spec.Track = ex.Track
+		}
+		res, err := sess.Search(v, spec, vqpy.WithStore(s.store), vqpy.WithIndex(s.index))
+		if err != nil {
+			return err
+		}
+
+		s.counters.Add("searches", 1)
+		s.counters.Add("search_frames", int64(fed))
+		s.counters.Add("search_verified_frames", int64(res.VerifiedFrames))
+		s.counters.Add("search_residual_frames", int64(res.ResidualFrames))
+		matched := 0
+		for _, m := range res.Matched {
+			if m {
+				matched++
+			}
+		}
+		wire := *res
+		wire.IR = nil
+		sum = &SearchSummary{
+			Source: req.Source, Query: req.Query, Track: spec.Track,
+			Threshold: res.IR.Probe.Threshold,
+			UsedIndex: res.UsedIndex, Covered: res.Covered,
+			CandidateTracks: res.CandidateTracks,
+			VerifiedFrames:  res.VerifiedFrames, ResidualFrames: res.ResidualFrames,
+			SearchFrames:  fed,
+			MatchedTracks: res.MatchedTracks, Sims: res.Sims,
+			MatchedFrames: matched, Hits: len(res.Hits),
+			VirtualMS: res.VirtualMS, Result: &wire,
+		}
+		return nil
+	})
+	return sum, err
 }

@@ -102,19 +102,36 @@ type Config struct {
 }
 
 // source is one registered scenario feed: its own session (private
-// virtual clock), clip and dynamic mux.
+// virtual clock), clip and dynamic mux. name, session, video, feed and
+// mux are fixed at construction; everything below mu is the source's
+// own feed state.
 type source struct {
 	name    string
 	session *vqpy.Session
 	video   *vqpy.Video
 	feed    vqpy.FrameSource // poll path: the clip, fault-wrapped when chaos is on
 	mux     *vqpy.MuxStream
-	fed     int   // frames fed (monotonic, counts wrapped and dropped frames once each)
-	done    bool  // no more frames will be fed (clip end, or a feed error)
-	feedErr error // the error that stopped the feed, if any
+
+	// syncMu admits one synchronous query (search, fidelity, text) at a
+	// time on this source: they share the warm → extract step and the
+	// store's memory tier, and two at once cost more than they overlap.
+	// Taken before mu, never while holding it.
+	syncMu sync.Mutex
+
+	// mu guards the fields below and orders everything that moves the
+	// session ledger as a unit — a tick's mux.Feed, a lane attach or
+	// detach, the merge of a finished synchronous query's forked clock —
+	// so a lane's per-frame cost (a clock delta) never contains someone
+	// else's charge. Held by this source's own tick, attach/detach and
+	// stats reads only; never while waiting on another source.
+	mu           sync.Mutex
+	fed          int   // frames fed (monotonic, counts wrapped and dropped frames once each)
+	done         bool  // no more frames will be fed (clip end, or a feed error)
+	feedErr      error // the error that stopped the feed, if any
+	syncInflight int   // synchronous queries admitted and not yet answered (running or queued on syncMu)
 
 	// Failure-domain state (only moves when Config.Faults injects
-	// source faults; see stepLocked).
+	// source faults; see step).
 	ticks         int  // step attempts, the quarantine probe clock
 	stalls        int  // consecutive stalled polls of the current frame
 	totalStalls   int  // lifetime stalled polls
@@ -134,35 +151,92 @@ type liveQuery struct {
 	estMS  float64 // estimated virtual ms per frame (admission signal)
 }
 
-// Server owns the sources and the query registry. All state is guarded
-// by one mutex: attach, detach, result reads and frame steps serialize,
-// which keeps admission decisions consistent with the lanes actually
-// riding each stream.
+// Server owns the sources and the query registry. Its locks form a
+// hierarchy, always taken in this order (DESIGN.md §6):
+//
+//   - mu, the registry lock: the query table, ids, admission
+//     reservations, tenant tables, the hot-reloadable budget and the
+//     lifecycle flags. Held for map and arithmetic work only — never
+//     across a mux.Feed, a PlanQuery, a backfill replay or a synchronous
+//     query.
+//   - source.mu, one per source: that source's feed state and ledger
+//     order (see source). A tick on one source never waits for another
+//     source's lock.
+//   - the MuxStream, store, index, clock, counters and injector locks,
+//     each private to its type.
+//
+// Fleet mode adds fleetState.mu above the source locks: one lock over
+// the lockstep tick and the fleet-wide attach, because the batch window
+// spans every camera by design.
+//
+// sources, order, counters, fleet and every Config field except
+// BudgetMS and Tenants are fixed at construction and read without a
+// lock; store and index are fixed until shutdown closes them.
 type Server struct {
-	mu       sync.Mutex
 	cfg      Config
 	sources  map[string]*source
 	order    []string
-	queries  map[int]*liveQuery
-	nextID   int
 	counters *metrics.Counters
 	store    *vqpy.Store // persistent result store, nil without StoreDir
 	index    *vqpy.Index // appearance index over the store, nil without IndexDir
 	fleet    *fleetState // fleet-mode extension, nil without FleetCams
 
+	mu      sync.Mutex
+	queries map[int]*liveQuery
+	// pending holds the admission reservations of attaches whose lane is
+	// still being created: they count toward the load like resident
+	// queries, so two racing attaches cannot both squeeze under the
+	// budget, and have no id yet, so nothing can read or detach them.
+	pending map[*liveQuery]struct{}
+	nextID  int
+
 	// Multi-tenant QoS state (tenant.go); empty maps in single-tenant
 	// mode. now is the wall clock behind the token buckets, swappable in
 	// tests.
-	tenants     map[string]*tenantState
-	tenantOrder []string
-	totalShares float64
-	now         func() time.Time
+	tenants      map[string]*tenantState
+	tenantOrder  []string
+	totalShares  float64
+	tenantSyncMS map[string]float64 // virtual ms of synchronous queries per tenant; survives reloads
+	now          func() time.Time
 
 	stop     chan struct{}
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // tickers
 	started  bool
-	draining bool // Drain began: no new queries, no new frames
-	drained  bool // Drain finished: muxes and store are closed
+	draining bool // shutdown began: no new queries, no new frames
+	drained  bool // shutdown finished: muxes and store are closed
+
+	// inflight counts the operations between enter and its Done: every
+	// tick, attach, detach, result read and synchronous query. Shutdown
+	// waits for it before closing muxes, index and store, so an
+	// operation racing a drain completes or is refused with ErrDraining
+	// and never meets a closed store.
+	inflight sync.WaitGroup
+
+	// hook, when set before the server is shared (tests only), observes
+	// the events of hookEvent on each source.
+	hook func(source string, ev hookEvent)
+}
+
+// hookEvent names what Server.hook observes. evSyncRunning fires with no
+// lock held but the source's syncMu; the others fire under the source
+// lock, so their order per source is the order in which ticks, lane
+// changes and merged query ledgers really took effect — what a serial
+// replay needs to reproduce a concurrent run bit for bit.
+type hookEvent int
+
+const (
+	evSyncRunning hookEvent = iota // a synchronous query holds its watermark and is about to run
+	evTick                         // one frame was fed
+	evAttach                       // a lane attached
+	evDetach                       // a lane detached
+	evMerge                        // a synchronous query's ledger was merged
+)
+
+// observe reports ev to the test hook, if any.
+func (s *Server) observe(source string, ev hookEvent) {
+	if s.hook != nil {
+		s.hook(source, ev)
+	}
 }
 
 // scenarios maps source names to scenario generators (the daemon's
@@ -202,9 +276,12 @@ func NewServer(cfg Config, sourceNames []string) (*Server, error) {
 		cfg:      cfg,
 		sources:  make(map[string]*source),
 		queries:  make(map[int]*liveQuery),
+		pending:  make(map[*liveQuery]struct{}),
 		counters: metrics.NewCounters(),
 		stop:     make(chan struct{}),
 		now:      time.Now,
+
+		tenantSyncMS: make(map[string]float64),
 	}
 	s.configureTenantsLocked(cfg.Tenants)
 	if cfg.IndexDir != "" {
@@ -293,93 +370,130 @@ func (s *Server) closeStore() {
 // SourceNamesRegistered lists this server's registered sources in feed
 // order (in fleet mode, the generated camera names).
 func (s *Server) SourceNamesRegistered() []string {
+	return append([]string(nil), s.order...)
+}
+
+// enter admits one operation that touches a mux, the store or the
+// index; the caller defers s.inflight.Done(). Refused from the moment a
+// shutdown starts.
+func (s *Server) enter() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
+	if s.draining {
+		return ErrDraining
+	}
+	s.inflight.Add(1)
+	return nil
+}
+
+// lookupSource resolves a registered source name.
+func (s *Server) lookupSource(name string) (*source, error) {
+	src, ok := s.sources[name]
+	if !ok {
+		return nil, fmt.Errorf("serve: unknown source %q: %w", name, ErrNotFound)
+	}
+	return src, nil
 }
 
 // Run starts one ticker goroutine per source feeding frames at
 // Speed × capture rate — or, in fleet mode, ONE lockstep ticker
 // stepping every camera per tick inside a batch window. It is a no-op
 // when Speed <= 0 (manual stepping) or when already started. Stop with
-// Close.
+// Close. A tick whose step returns after the next tick was due counts
+// as ticks_late:<source> — the "is this source falling behind" signal
+// on /streamz and /metrics.
 func (s *Server) Run() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.started || s.cfg.Speed <= 0 {
+	if s.started || s.draining || s.cfg.Speed <= 0 {
 		return
 	}
 	s.started = true
 	if s.fleet != nil {
-		src := s.sources[s.order[0]]
-		interval := time.Duration(float64(time.Second) / (float64(src.video.FPS) * s.cfg.Speed))
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.stop:
-					return
-				case <-t.C:
-					// A per-source feed error marks that source done
-					// with the error recorded; the ticker keeps driving
-					// the healthy cameras.
-					s.mu.Lock()
-					_ = s.fleetStepLocked()
-					s.mu.Unlock()
-				}
-			}
-		}()
+		// A per-source feed error marks that source done with the error
+		// recorded; the ticker keeps driving the healthy cameras.
+		s.runTicker(s.sources[s.order[0]].video.FPS, s.order, func() error {
+			_ = s.StepAll()
+			return nil
+		})
 		return
 	}
 	for _, name := range s.order {
-		src := s.sources[name]
-		interval := time.Duration(float64(time.Second) / (float64(src.video.FPS) * s.cfg.Speed))
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		s.wg.Add(1)
-		go func(name string) {
-			defer s.wg.Done()
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.stop:
-					return
-				case <-t.C:
-					if err := s.Step(name); err != nil {
-						return
-					}
-				}
-			}
-		}(name)
+		s.runTicker(s.sources[name].video.FPS, []string{name}, func() error { return s.Step(name) })
 	}
 }
 
-// Close stops the tickers and closes every mux. After a Drain it only
-// reaps the (already torn down) ticker state.
-func (s *Server) Close() {
+// runTicker starts one ticker goroutine calling step at fps × Speed
+// until it fails or the server stops; names are the sources a late tick
+// is booked against.
+func (s *Server) runTicker(fps int, names []string, step func() error) {
+	interval := time.Duration(float64(time.Second) / (float64(fps) * s.cfg.Speed))
+	if interval <= 0 {
+		interval = time.Millisecond
+	}
+	for _, name := range names {
+		s.counters.Add("ticks_late:"+name, 0) // export the series from the first scrape
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case due := <-t.C:
+				if err := step(); err != nil {
+					return
+				}
+				if time.Since(due) > interval {
+					for _, name := range names {
+						s.counters.Add("ticks_late:"+name, 1)
+					}
+				}
+			}
+		}
+	}()
+}
+
+// quiesce starts the shutdown: refuse new operations, stop the tickers,
+// then wait for every operation already in flight. After it returns no
+// frame moves and nothing reads the store.
+func (s *Server) quiesce() {
 	s.mu.Lock()
+	s.draining = true
 	if s.started {
 		close(s.stop)
 		s.started = false
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.inflight.Wait()
+}
+
+// Close stops the daemon without finalizing queries: it refuses new
+// work, waits for in-flight ticks and queries, then closes every mux,
+// the index and the store. After a Drain it is a no-op.
+func (s *Server) Close() {
+	s.quiesce()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drained {
 		return
 	}
 	s.drained = true
-	for _, src := range s.sources {
+	s.closeSourcesLocked()
+}
+
+// closeSourcesLocked closes every mux, then the index and store.
+// Callers hold s.mu after quiesce.
+func (s *Server) closeSourcesLocked() {
+	for _, name := range s.order {
+		src := s.sources[name]
+		src.mu.Lock()
 		src.mux.Close()
+		src.mu.Unlock()
 	}
 	s.closeStore()
 }
@@ -401,37 +515,23 @@ type DrainSummary struct {
 
 // Drain shuts the daemon down gracefully (the SIGTERM path of
 // cmd/vqserve): stop admitting queries and frames, stop the tickers,
+// wait for the ticks and queries already in flight (a request racing
+// the drain is answered or refused with ErrDraining, never cut off),
 // detach and finalize every live query, then flush and close the
 // store. /readyz reports 503 from the moment draining starts while
 // /healthz keeps answering 200, so load balancers route away before
 // the listener goes down. Idempotent; a later Close is a no-op.
 func (s *Server) Drain() DrainSummary {
-	s.mu.Lock()
-	if s.drained {
-		s.mu.Unlock()
-		return DrainSummary{}
-	}
-	s.draining = true
-	if s.started {
-		close(s.stop)
-		s.started = false
-	}
-	s.mu.Unlock()
-	s.wg.Wait() // tickers gone: no frame moves after this point
+	s.quiesce()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.drained {
 		return DrainSummary{}
 	}
 	sum := DrainSummary{Results: make(map[int]*vqpy.Result)}
-	ids := make([]int, 0, len(s.queries))
-	for id := range s.queries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(s.queries) {
 		q := s.queries[id]
-		if res, err := s.sources[q.source].mux.Detach(q.lane); err == nil {
+		if res, err := s.detachLane(s.sources[q.source], q.lane); err == nil {
 			sum.Results[id] = res
 		}
 		delete(s.queries, id)
@@ -439,30 +539,41 @@ func (s *Server) Drain() DrainSummary {
 		s.counters.Add("queries_detached", 1)
 	}
 	if s.fleet != nil {
-		fids := make([]int, 0, len(s.fleet.queries))
-		for id := range s.fleet.queries {
-			fids = append(fids, id)
-		}
-		sort.Ints(fids)
-		for _, id := range fids {
+		for _, id := range sortedIDs(s.fleet.queries) {
 			q := s.fleet.queries[id]
 			for name, lane := range q.lanes {
-				_, _ = s.sources[name].mux.Detach(lane)
+				_, _ = s.detachLane(s.sources[name], lane)
 			}
 			delete(s.fleet.queries, id)
 			sum.FleetQueriesDetached++
 			s.counters.Add("fleet_queries_detached", 1)
 		}
 	}
-	for _, name := range s.order {
-		s.sources[name].mux.Close()
-	}
-	if s.store != nil {
-		sum.StoreFlushed = true
-	}
-	s.closeStore()
+	sum.StoreFlushed = s.store != nil
+	s.closeSourcesLocked()
 	s.drained = true
 	return sum
+}
+
+// sortedIDs lists a query table's ids in ascending order.
+func sortedIDs[Q any](m map[int]Q) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// detachLane removes one lane from the source's mux between ticks.
+func (s *Server) detachLane(src *source, lane int) (*vqpy.Result, error) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	res, err := src.mux.Detach(lane)
+	if err == nil {
+		s.observe(src.name, evDetach)
+	}
+	return res, err
 }
 
 // Step feeds one frame on the named source (wrapping when Loop is
@@ -470,41 +581,43 @@ func (s *Server) Drain() DrainSummary {
 // the camera outside the batch window and out of lockstep — use
 // StepAll, which advances the whole fleet one tick.
 func (s *Server) Step(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return ErrDraining
+	if err := s.enter(); err != nil {
+		return err
 	}
+	defer s.inflight.Done()
 	if s.fleet != nil {
 		return fmt.Errorf("serve: fleet sources step in lockstep; use StepAll")
 	}
-	return s.stepLocked(name)
+	src, err := s.lookupSource(name)
+	if err != nil {
+		return err
+	}
+	return s.step(src)
 }
 
 // StepAll feeds one frame on every source, in registration order — in
 // fleet mode this is one lockstep tick with its batch window.
 func (s *Server) StepAll() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return ErrDraining
+	if err := s.enter(); err != nil {
+		return err
 	}
+	defer s.inflight.Done()
 	if s.fleet != nil {
-		return s.fleetStepLocked()
+		return s.fleetStep()
 	}
 	for _, name := range s.order {
-		if err := s.stepLocked(name); err != nil {
+		if err := s.step(s.sources[name]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *Server) stepLocked(name string) error {
-	src, ok := s.sources[name]
-	if !ok {
-		return fmt.Errorf("serve: unknown source %q: %w", name, ErrNotFound)
-	}
+// step is one tick of one source, under that source's lock alone.
+func (s *Server) step(src *source) error {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	name := src.name
 	if src.done {
 		return nil
 	}
@@ -558,6 +671,7 @@ func (s *Server) stepLocked(name string) error {
 	src.quarantined = false
 	src.fed++
 	s.counters.Add("frames_fed:"+name, 1)
+	s.observe(name, evTick)
 	return nil
 }
 
@@ -576,19 +690,73 @@ func (e *ErrAdmission) Error() string {
 }
 
 // estLoadLocked sums the admission estimates of the queries resident on
-// one source — per-source attaches plus that source's share of every
-// fleet-wide query.
-func (s *Server) estLoadLocked(source string) (float64, int) {
+// one source — per-source attaches (live and reserved) plus that
+// source's share of every fleet-wide query. An empty tenant sums every
+// owner's; a name sums that tenant's alone. Callers hold s.mu.
+func (s *Server) estLoadLocked(source, tenant string) (float64, int) {
 	var load float64
 	n := 0
-	for _, q := range s.queries {
-		if q.source == source {
+	add := func(q *liveQuery) {
+		if q.source == source && (tenant == "" || q.tenant == tenant) {
 			load += q.estMS
 			n++
 		}
 	}
-	fleetLoad, fleetN := s.fleetLoadLocked(source)
-	return load + fleetLoad, n + fleetN
+	for _, q := range s.queries {
+		add(q)
+	}
+	for q := range s.pending {
+		add(q)
+	}
+	if s.fleet != nil {
+		for _, q := range s.fleet.queries {
+			if est, ok := q.estMS[source]; ok && (tenant == "" || q.tenant == tenant) {
+				load += est
+				n++
+			}
+		}
+	}
+	return load, n
+}
+
+// admitLocked is the admission decision for one plan on one source on
+// behalf of a resolved tenant (nil in single-tenant mode): the
+// estimated per-frame cost must fit under the budget next to what is
+// already resident or reserved. Callers hold s.mu.
+func (s *Server) admitLocked(st *tenantState, source string, estMS float64) error {
+	if s.cfg.BudgetMS <= 0 {
+		return nil
+	}
+	if st != nil {
+		// Multi-tenant: admit against the tenant's slice only. The
+		// slices partition the budget, so a tenant filling its slice
+		// cannot eat into anyone else's headroom — and a rejection
+		// here says nothing about the other tenants.
+		owner := st.cfg.Name
+		slice := s.tenantSliceLocked(st)
+		load, resident := s.estLoadLocked(source, owner)
+		if load+estMS > slice {
+			s.counters.Add("admission_rejected", 1)
+			s.counters.Add("admission_rejected:"+source, 1)
+			s.counters.Add("tenant_admission_rejected:"+owner, 1)
+			return &ErrTenantBudget{
+				Tenant: owner, Source: source, EstMS: estMS,
+				LoadMS: load, SliceMS: slice, ResidentQueries: resident,
+				RetryAfterSec: 1,
+			}
+		}
+		return nil
+	}
+	load, resident := s.estLoadLocked(source, "")
+	if load+estMS > s.cfg.BudgetMS {
+		s.counters.Add("admission_rejected", 1)
+		s.counters.Add("admission_rejected:"+source, 1)
+		return &ErrAdmission{
+			Source: source, EstMS: estMS,
+			LoadMS: load, BudgetMS: s.cfg.BudgetMS, ResidentQueries: resident,
+		}
+	}
+	return nil
 }
 
 // AttachNamed plans a library query and attaches it to the named
@@ -622,100 +790,93 @@ func (s *Server) attach(tenant, sourceName, queryName string, backfill bool) (in
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return 0, ErrDraining
+	if err := s.enter(); err != nil {
+		return 0, err
 	}
-	src, ok := s.sources[sourceName]
-	if !ok {
-		return 0, fmt.Errorf("serve: unknown source %q: %w", sourceName, ErrNotFound)
+	defer s.inflight.Done()
+	src, err := s.lookupSource(sourceName)
+	if err != nil {
+		return 0, err
 	}
 	if backfill && s.store == nil {
 		return 0, fmt.Errorf("serve: backfill attach requires the daemon to run with -store")
 	}
-	// Plan first (the clip doubles as the canary, so the plan arrives
-	// with a per-frame cost) and admit before any lane state exists —
-	// in particular before a backfill replays the scanned history, work
-	// a rejection would otherwise throw away.
+	// Plan first, holding no lock (the clip doubles as the canary, so
+	// the plan arrives with a per-frame cost; profiling runs on an
+	// isolated clock), and admit before any lane state exists — in
+	// particular before a backfill replays the scanned history, work a
+	// rejection would otherwise throw away.
 	plan, err := src.session.PlanQuery(q, src.video)
 	if err != nil {
 		return 0, err
 	}
+
+	// Admission and the reservation are one step under the registry
+	// lock; the lane itself (and a backfill's replay) is then created
+	// holding only its own source.
+	s.mu.Lock()
 	st, err := s.resolveTenantLocked(tenant)
+	if err == nil {
+		err = s.admitLocked(st, sourceName, plan.EstPerFrameMS)
+	}
 	if err != nil {
+		s.mu.Unlock()
 		return 0, err
 	}
-	owner := ""
+	lq := &liveQuery{name: queryName, source: sourceName, estMS: plan.EstPerFrameMS}
 	if st != nil {
-		owner = st.cfg.Name
+		lq.tenant = st.cfg.Name
 	}
-	if s.cfg.BudgetMS > 0 {
-		if st != nil {
-			// Multi-tenant: admit against the tenant's slice only. The
-			// slices partition the budget, so a tenant filling its slice
-			// cannot eat into anyone else's headroom — and a rejection
-			// here says nothing about the other tenants.
-			slice := s.tenantSliceLocked(st)
-			load, resident := s.estTenantLoadLocked(sourceName, owner)
-			if load+plan.EstPerFrameMS > slice {
-				s.counters.Add("admission_rejected", 1)
-				s.counters.Add("admission_rejected:"+sourceName, 1)
-				s.counters.Add("tenant_admission_rejected:"+owner, 1)
-				return 0, &ErrTenantBudget{
-					Tenant: owner, Source: sourceName, EstMS: plan.EstPerFrameMS,
-					LoadMS: load, SliceMS: slice, ResidentQueries: resident,
-					RetryAfterSec: 1,
-				}
-			}
-		} else {
-			load, resident := s.estLoadLocked(sourceName)
-			if load+plan.EstPerFrameMS > s.cfg.BudgetMS {
-				s.counters.Add("admission_rejected", 1)
-				s.counters.Add("admission_rejected:"+sourceName, 1)
-				return 0, &ErrAdmission{
-					Source: sourceName, EstMS: plan.EstPerFrameMS,
-					LoadMS: load, BudgetMS: s.cfg.BudgetMS, ResidentQueries: resident,
-				}
-			}
-		}
-	}
-	var lane int
+	s.pending[lq] = struct{}{}
+	s.mu.Unlock()
+
+	src.mu.Lock()
 	if backfill {
-		lane, err = src.mux.AttachBackfill(plan)
+		lq.lane, err = src.mux.AttachBackfill(plan)
 	} else {
-		lane, err = src.mux.Attach(plan)
+		lq.lane, err = src.mux.Attach(plan)
 	}
+	if err == nil {
+		s.observe(sourceName, evAttach)
+	}
+	src.mu.Unlock()
+
+	s.mu.Lock()
+	delete(s.pending, lq)
+	if err == nil {
+		lq.id = s.nextID
+		s.nextID++
+		s.queries[lq.id] = lq
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return 0, err
-	}
-	id := s.nextID
-	s.nextID++
-	s.queries[id] = &liveQuery{
-		id: id, name: queryName, source: sourceName, tenant: owner,
-		lane: lane, estMS: plan.EstPerFrameMS,
 	}
 	s.counters.Add("queries_attached", 1)
 	s.counters.Add("queries_attached:"+queryName, 1)
 	if backfill {
 		s.counters.Add("queries_backfilled", 1)
 	}
-	return id, nil
+	return lq.id, nil
 }
 
 // Detach removes a query and returns its final result.
 func (s *Server) Detach(id int) (*vqpy.Result, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	defer s.inflight.Done()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	q, ok := s.queries[id]
+	delete(s.queries, id)
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown query %d: %w", id, ErrNotFound)
 	}
-	res, err := s.sources[q.source].mux.Detach(q.lane)
+	res, err := s.detachLane(s.sources[q.source], q.lane)
 	if err != nil {
 		return nil, err
 	}
-	delete(s.queries, id)
 	s.counters.Add("queries_detached", 1)
 	return res, nil
 }
@@ -732,16 +893,23 @@ func (s *Server) Results(id int) (*vqpy.Result, error) {
 // history). Aggregate fields (matched counts, video-level aggregation)
 // always reflect the whole residency; since <= 0 returns everything.
 func (s *Server) ResultsSince(id int, since int) (*vqpy.Result, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	defer s.inflight.Done()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	q, ok := s.queries[id]
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown query %d: %w", id, ErrNotFound)
 	}
 	s.counters.Add("results_read", 1)
+	// The mux's own lock orders the snapshot against the source's ticks.
 	res, err := s.sources[q.source].mux.Snapshot(q.lane)
 	if err != nil {
-		return nil, err
+		// The query was registered a moment ago, so its lane can only
+		// be missing because a concurrent Detach just took it.
+		return nil, fmt.Errorf("serve: query %d detached: %w", id, ErrNotFound)
 	}
 	if since > 0 {
 		// The snapshot's hit slice is a private copy; filter in place.
@@ -772,13 +940,14 @@ type Health struct {
 
 // Health assembles the /healthz view.
 func (s *Server) Health() Health {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := Health{Status: "ok", Draining: s.draining}
+	h := Health{Status: "ok", Draining: !s.Ready()}
 	for _, name := range s.order {
-		if s.sources[name].quarantined {
+		src := s.sources[name]
+		src.mu.Lock()
+		if src.quarantined {
 			h.Quarantined = append(h.Quarantined, name)
 		}
+		src.mu.Unlock()
 	}
 	for _, b := range s.cfg.Faults.BreakerStats() {
 		if b.State != "closed" {
@@ -786,7 +955,7 @@ func (s *Server) Health() Health {
 		}
 	}
 	switch {
-	case s.draining:
+	case h.Draining:
 		h.Status = "draining"
 	case len(h.Quarantined) > 0 || len(h.OpenBreakers) > 0:
 		h.Status = "degraded"
@@ -818,6 +987,11 @@ type SourceStat struct {
 	EstLoadMS    float64          `json:"est_load_ms_per_frame"`
 	BudgetMS     float64          `json:"budget_ms_per_frame"`
 	VirtualMS    float64          `json:"virtual_ms_total"`
+	// SyncInflight counts the synchronous queries (search, fidelity,
+	// text) admitted on this source and not yet answered; TicksLate the
+	// ticker's ticks whose step returned after the next tick was due.
+	SyncInflight int   `json:"sync_inflight"`
+	TicksLate    int64 `json:"ticks_late"`
 
 	// Degradation state (chaos runs; zero-valued otherwise).
 	Stalls         int                 `json:"stalls,omitempty"`
@@ -921,15 +1095,29 @@ type Stats struct {
 	Chaos    *ChaosStat       `json:"chaos,omitempty"`
 }
 
-// Streamz assembles the live stats snapshot.
+// Streamz assembles the live stats snapshot: the registry's tables
+// under the registry lock, then each source's row under that source's
+// lock — so a row is consistent with the tick it follows, and a scrape
+// never holds one source while waiting for another.
 func (s *Server) Streamz() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
 		Counters: s.counters.Snapshot(),
 		Tenants:  s.tenantStatsLocked(),
 		Fleet:    s.fleetStatLocked(),
+		Sources:  make([]SourceStat, len(s.order)),
 	}
+	store, index := s.store, s.index
+	for i, name := range s.order {
+		load, resident := s.estLoadLocked(name, "")
+		st.Sources[i] = SourceStat{Queries: resident, EstLoadMS: load, BudgetMS: s.cfg.BudgetMS}
+	}
+	for _, id := range sortedIDs(s.queries) {
+		q := s.queries[id]
+		st.Queries = append(st.Queries, QueryStat{ID: q.id, Name: q.name, Source: q.source, Tenant: q.tenant, Lane: q.lane, EstMS: q.estMS})
+	}
+	s.mu.Unlock()
+
 	if inj := s.cfg.Faults; inj != nil {
 		st.Chaos = &ChaosStat{
 			Enabled:         inj.Enabled(),
@@ -938,10 +1126,10 @@ func (s *Server) Streamz() Stats {
 			Counters:        inj.Counters().Snapshot(),
 		}
 	}
-	if s.store != nil {
+	if store != nil {
 		st.Store = &StoreStat{
-			Dir: s.store.Dir(), Tiers: s.store.TierStats(),
-			Counters: s.store.Counters().Snapshot(),
+			Dir: store.Dir(), Tiers: store.TierStats(),
+			Counters: store.Counters().Snapshot(),
 		}
 		fs := &FidelityStat{
 			Queries:        s.counters.Get("fidelity_queries"),
@@ -952,14 +1140,14 @@ func (s *Server) Streamz() Stats {
 			ResidualFrames: s.counters.Get("fidelity_residual_frames"),
 		}
 		for _, name := range s.order {
-			fs.Tiers = append(fs.Tiers, s.store.Fidelities(name)...)
+			fs.Tiers = append(fs.Tiers, store.Fidelities(name)...)
 		}
 		if total := fs.ReplayedFrames + fs.DegradedFrames + fs.ResidualFrames; total > 0 {
 			fs.ReplayedFrameRatio = float64(fs.ReplayedFrames) / float64(total)
 		}
 		st.Fidelity = fs
 	}
-	if s.index != nil {
+	if index != nil {
 		searched := s.counters.Get("search_frames")
 		executed := s.counters.Get("search_verified_frames")
 		ratio := 0.0
@@ -967,7 +1155,7 @@ func (s *Server) Streamz() Stats {
 			ratio = 1 - float64(executed)/float64(searched)
 		}
 		st.Index = &IndexStat{
-			Dir: s.index.Dir(), Stats: s.index.TierStats(),
+			Dir: index.Dir(), Stats: index.TierStats(),
 			Searches:         s.counters.Get("searches"),
 			SearchFrames:     searched,
 			VerifiedFrames:   s.counters.Get("search_verified_frames"),
@@ -975,55 +1163,48 @@ func (s *Server) Streamz() Stats {
 			PrunedFrameRatio: ratio,
 		}
 	}
-	for _, name := range s.order {
-		src := s.sources[name]
-		load, resident := s.estLoadLocked(name)
-		feedErr := ""
-		if src.feedErr != nil {
-			feedErr = src.feedErr.Error()
-		}
-		groupStats := src.mux.GroupStats()
-		degraded := 0
-		for _, g := range groupStats {
-			degraded += g.Degraded
-		}
-		st.Sources = append(st.Sources, SourceStat{
-			Name: name, FPS: src.video.FPS, ClipFrames: len(src.video.Frames),
-			FramesFed: src.fed, Done: src.done, FeedError: feedErr, Queries: resident,
-			Groups: src.mux.Groups(), GroupMembers: src.mux.GroupMembers(),
-			GroupStats: groupStats,
-			Lanes:      src.mux.LaneStats(), EstLoadMS: load, BudgetMS: s.cfg.BudgetMS,
-			VirtualMS: src.session.Clock().TotalMS(),
-			Stalls:    src.totalStalls, Dropped: src.dropped,
-			Quarantined: src.quarantined, Quarantines: src.quarantines,
-			DegradedFrames: degraded,
-			Breakers:       s.cfg.Faults.BreakerStatsFor(name),
-		})
-	}
-	// Per-query rows come from the lane stats already collected above —
-	// no result copying on the stats path.
-	lanes := make(map[string]map[int]vqpy.LaneStat, len(st.Sources))
-	for _, src := range st.Sources {
-		byLane := make(map[int]vqpy.LaneStat, len(src.Lanes))
-		for _, l := range src.Lanes {
+	// Per-query rows take their progress from the lane stats collected
+	// with each source row — no result copying on the stats path.
+	lanes := make(map[string]map[int]vqpy.LaneStat, len(s.order))
+	for i, name := range s.order {
+		row := &st.Sources[i]
+		s.sources[name].stat(row)
+		row.TicksLate = s.counters.Get("ticks_late:" + name)
+		row.Breakers = s.cfg.Faults.BreakerStatsFor(name)
+		byLane := make(map[int]vqpy.LaneStat, len(row.Lanes))
+		for _, l := range row.Lanes {
 			byLane[l.ID] = l
 		}
-		lanes[src.Name] = byLane
+		lanes[name] = byLane
 	}
-	ids := make([]int, 0, len(s.queries))
-	for id := range s.queries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		q := s.queries[id]
-		qs := QueryStat{ID: q.id, Name: q.name, Source: q.source, Tenant: q.tenant, Lane: q.lane, EstMS: q.estMS}
-		if l, ok := lanes[q.source][q.lane]; ok {
+	for i := range st.Queries {
+		qs := &st.Queries[i]
+		if l, ok := lanes[qs.Source][qs.Lane]; ok {
 			qs.Frames = l.Frames
 			qs.VirtualMS = l.VirtualMS
 			qs.Matched = l.Matched
 		}
-		st.Queries = append(st.Queries, qs)
 	}
 	return st
+}
+
+// stat fills the source's own part of its /streamz row, read under its
+// lock so feed counters, lanes and ledger belong to the same tick.
+func (src *source) stat(row *SourceStat) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	row.Name, row.FPS, row.ClipFrames = src.name, src.video.FPS, len(src.video.Frames)
+	row.FramesFed, row.Done = src.fed, src.done
+	if src.feedErr != nil {
+		row.FeedError = src.feedErr.Error()
+	}
+	row.Groups, row.GroupMembers = src.mux.Groups(), src.mux.GroupMembers()
+	row.GroupStats, row.Lanes = src.mux.GroupStats(), src.mux.LaneStats()
+	for _, g := range row.GroupStats {
+		row.DegradedFrames += g.Degraded
+	}
+	row.VirtualMS = src.session.Clock().TotalMS()
+	row.SyncInflight = src.syncInflight
+	row.Stalls, row.Dropped = src.totalStalls, src.dropped
+	row.Quarantined, row.Quarantines = src.quarantined, src.quarantines
 }

@@ -33,7 +33,7 @@ import (
 const DefaultTenantName = "default"
 
 // tenantState is one configured tenant's runtime state: its config
-// plus the token bucket. Guarded by Server.mu.
+// plus the token bucket. Guarded by Server.mu, the registry lock.
 type tenantState struct {
 	cfg    config.Tenant
 	burst  float64 // bucket capacity (>= 1 when rate limiting is on)
@@ -128,32 +128,6 @@ func (s *Server) tenantSliceLocked(st *tenantState) float64 {
 		return s.cfg.BudgetMS
 	}
 	return s.cfg.BudgetMS * st.cfg.Share / s.totalShares
-}
-
-// estTenantLoadLocked sums the admission estimates of one tenant's
-// queries resident on one source (per-source attaches plus fleet-wide
-// lanes). Callers hold s.mu.
-func (s *Server) estTenantLoadLocked(source, tenant string) (float64, int) {
-	var load float64
-	n := 0
-	for _, q := range s.queries {
-		if q.source == source && q.tenant == tenant {
-			load += q.estMS
-			n++
-		}
-	}
-	if s.fleet != nil {
-		for _, q := range s.fleet.queries {
-			if q.tenant != tenant {
-				continue
-			}
-			if est, ok := q.estMS[source]; ok {
-				load += est
-				n++
-			}
-		}
-	}
-	return load, n
 }
 
 // ErrRateLimited marks a request refused by a tenant's token bucket
@@ -260,6 +234,11 @@ type TenantStat struct {
 	Requests          int64 `json:"requests"`
 	RateLimited       int64 `json:"rate_limited"`
 	AdmissionRejected int64 `json:"admission_rejected"`
+	// SyncQueries counts the synchronous queries (search, fidelity,
+	// text) run for the tenant; SyncVirtualMS is their exact virtual
+	// cost, warm and extract steps included.
+	SyncQueries   int64   `json:"sync_queries"`
+	SyncVirtualMS float64 `json:"sync_virtual_ms"`
 }
 
 // tenantStatsLocked assembles the /streamz tenant rows in configured
@@ -275,7 +254,7 @@ func (s *Server) tenantStatsLocked() []TenantStat {
 		st.refill(now)
 		resident := 0
 		for _, src := range s.order {
-			_, n := s.estTenantLoadLocked(src, name)
+			_, n := s.estLoadLocked(src, name)
 			resident += n
 		}
 		out = append(out, TenantStat{
@@ -285,6 +264,8 @@ func (s *Server) tenantStatsLocked() []TenantStat {
 			Requests:          s.counters.Get("tenant_requests:" + name),
 			RateLimited:       s.counters.Get("tenant_rate_limited:" + name),
 			AdmissionRejected: s.counters.Get("tenant_admission_rejected:" + name),
+			SyncQueries:       s.counters.Get("tenant_sync_queries:" + name),
+			SyncVirtualMS:     s.tenantSyncMS[name],
 		})
 	}
 	return out

@@ -120,11 +120,10 @@ func TestTenantAdmissionConcurrent(t *testing.T) {
 	}), "free", "redcar")
 
 	var wg sync.WaitGroup
-	admitted := make(map[string]*int)
+	// Filled before any worker starts: the workers read the map.
+	admitted := map[string]*int{"gold": new(int), "free": new(int)}
 	var mu sync.Mutex
 	for _, tenant := range []string{"gold", "free"} {
-		n := 0
-		admitted[tenant] = &n
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
 			go func(tenant string) {

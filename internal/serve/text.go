@@ -9,8 +9,6 @@ package serve
 // which yields the same verdicts at strictly higher cost.
 
 import (
-	"fmt"
-
 	"vqpy"
 )
 
@@ -22,6 +20,9 @@ type TextRequest struct {
 	Text string
 	// Eager asks the verifier on every frame instead of lazily.
 	Eager bool
+	// Tenant is who the query's virtual cost is billed to; ignored in
+	// single-tenant mode.
+	Tenant string
 }
 
 // TextSummary is the wire-level text-query reply.
@@ -52,60 +53,45 @@ type TextSummary struct {
 // TextQuery answers one language query over a source's fed frames.
 // Refused in fleet mode and while draining; unlike search and fidelity
 // it needs neither -store nor -index — the cascade scans live and the
-// verifier is a model call. Synchronous and lock-holding like
-// FidelityQuery: frame feeding pauses for its duration.
+// verifier is a model call. Synchronous like FidelityQuery, and like it
+// holds no lock a tick needs.
 func (s *Server) TextQuery(req TextRequest) (*TextSummary, error) {
 	tq, err := vqpy.CompileText(req.Text)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, ErrDraining
-	}
-	if s.fleet != nil {
-		return nil, fmt.Errorf("serve: text queries are per-source; fleet mode does not support them")
-	}
-	src, ok := s.sources[req.Source]
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown source %q: %w", req.Source, ErrNotFound)
-	}
-	fed := src.fed
-	if n := len(src.video.Frames); fed > n {
-		fed = n // loop mode wraps; the clip is keyed by clip frame index
-	}
-	if fed == 0 {
-		return nil, fmt.Errorf("serve: source %q has no fed frames to answer yet", req.Source)
-	}
+	var sum *TextSummary
+	err = s.runSync(&textMode, req.Tenant, req.Source, func(sess *vqpy.Session, v *vqpy.Video, fed int) error {
+		// Clip shares the underlying frames, so frame indexes — and with
+		// them the verifier's deterministic answers — match the live feed.
+		clip := v.Clip(0, fed)
+		opts := []vqpy.Option(nil)
+		if req.Eager {
+			opts = append(opts, vqpy.WithEagerVerify())
+		}
+		res, err := sess.Text(req.Text, clip, opts...)
+		if err != nil {
+			return err
+		}
 
-	// Clip shares the underlying frames, so frame indexes — and with
-	// them the verifier's deterministic answers — match the live feed.
-	clip := src.video.Clip(0, fed)
-	opts := []vqpy.Option(nil)
-	if req.Eager {
-		opts = append(opts, vqpy.WithEagerVerify())
-	}
-	res, err := src.session.Text(req.Text, clip, opts...)
-	if err != nil {
-		return nil, err
-	}
-
-	s.counters.Add("text_queries", 1)
-	s.counters.Add("text_frames", int64(res.Frames))
-	s.counters.Add("text_undecided_frames", int64(res.CascadeMatched))
-	s.counters.Add("text_vlm_calls", int64(res.VLMCalls))
-	ratio := 0.0
-	if res.Frames > 0 {
-		ratio = float64(res.VLMCalls) / float64(res.Frames)
-	}
-	return &TextSummary{
-		Source: req.Source, Text: req.Text, Canonical: tq.Canonical,
-		Concepts:        tq.Concepts,
-		Frames:          res.Frames,
-		UndecidedFrames: res.CascadeMatched, VLMCalls: res.VLMCalls,
-		VLMFrameRatio: ratio, Eager: req.Eager,
-		MatchedFrames: res.MatchedCount(), Events: len(res.Events),
-		Hits: len(res.Hits), VirtualMS: res.VirtualMS,
-	}, nil
+		s.counters.Add("text_queries", 1)
+		s.counters.Add("text_frames", int64(res.Frames))
+		s.counters.Add("text_undecided_frames", int64(res.CascadeMatched))
+		s.counters.Add("text_vlm_calls", int64(res.VLMCalls))
+		ratio := 0.0
+		if res.Frames > 0 {
+			ratio = float64(res.VLMCalls) / float64(res.Frames)
+		}
+		sum = &TextSummary{
+			Source: req.Source, Text: req.Text, Canonical: tq.Canonical,
+			Concepts:        tq.Concepts,
+			Frames:          res.Frames,
+			UndecidedFrames: res.CascadeMatched, VLMCalls: res.VLMCalls,
+			VLMFrameRatio: ratio, Eager: req.Eager,
+			MatchedFrames: res.MatchedCount(), Events: len(res.Events),
+			Hits: len(res.Hits), VirtualMS: res.VirtualMS,
+		}
+		return nil
+	})
+	return sum, err
 }

@@ -10,6 +10,7 @@ import (
 	"vqpy"
 
 	"vqpy/internal/bench"
+	"vqpy/internal/models"
 )
 
 func runWorkload(t *testing.T, workers int) []*vqpy.RunResult {
@@ -123,5 +124,117 @@ func TestExecuteAllMergesLedger(t *testing.T) {
 	}
 	if seqMS == 0 {
 		t.Error("ledger recorded no work")
+	}
+}
+
+// forkRedCar is the query the Session.Fork tests run.
+func forkRedCar() *vqpy.Query {
+	return vqpy.NewQuery("RedCar").
+		Use("car", vqpy.Car()).
+		Where(vqpy.And(
+			vqpy.P("car", vqpy.PropScore).Gt(0.6),
+			vqpy.P("car", "color").Eq("red"),
+		))
+}
+
+// TestSessionForkLedger pins what the serving layer relies on when it
+// runs a synchronous query beside live ticks: work on a fork, merged
+// back, leaves the parent's ledger (total, accounts, invocation counts)
+// exactly as the same work run on the parent would; and the fork reads
+// its own exact cost however much the parent is charged meanwhile.
+func TestSessionForkLedger(t *testing.T) {
+	v := vqpy.GenerateVideo(vqpy.DatasetCityFlow(11, 10))
+	work := func(s *vqpy.Session) *vqpy.RunResult {
+		t.Helper()
+		res, err := s.Execute(forkRedCar(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Text("red car stopped", v); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	direct := vqpy.NewSession(11)
+	direct.SetNoBurn(true)
+	want := work(direct)
+
+	parent := vqpy.NewSession(11)
+	parent.SetNoBurn(true)
+	fork := parent.Fork()
+	if fork.Registry() != parent.Registry() || fork.Clock() == parent.Clock() || !fork.Env().NoBurn {
+		t.Fatal("a fork shares the registry and real-time behaviour, not the clock")
+	}
+	stop := make(chan struct{})
+	charged := make(chan struct{})
+	go func() { // the live side: charges the parent while the fork works
+		defer close(charged)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				parent.Clock().Charge("live", 1.7)
+			}
+		}
+	}()
+	got := work(fork)
+	close(stop)
+	<-charged
+	if got.VirtualMS != want.VirtualMS || !reflect.DeepEqual(got.Matched, want.Matched) {
+		t.Errorf("fork result: virtual ms %v, want %v (matched equal: %v)", got.VirtualMS, want.VirtualMS,
+			reflect.DeepEqual(got.Matched, want.Matched))
+	}
+	if acc := parent.Clock().Accounts(); len(acc) != 1 || acc["live"] == 0 {
+		t.Errorf("before the merge the parent holds %v, want the live charges and none of the fork's", acc)
+	}
+
+	parent.Clock().Reset() // leave only the fork's work to compare
+	parent.Clock().Merge(fork.Clock())
+	if got, want := parent.Clock().TotalMS(), direct.Clock().TotalMS(); got != want {
+		t.Errorf("merged total %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(parent.Clock().Accounts(), direct.Clock().Accounts()) {
+		t.Errorf("merged accounts %v, want %v", parent.Clock().Accounts(), direct.Clock().Accounts())
+	}
+	if !reflect.DeepEqual(parent.Clock().InvocationTotals(), direct.Clock().InvocationTotals()) {
+		t.Errorf("merged invocation counts %v, want %v", parent.Clock().InvocationTotals(), direct.Clock().InvocationTotals())
+	}
+}
+
+// countingInterceptor counts the charges offered to it per Env and
+// declines them all.
+type countingInterceptor struct{ seen map[*models.Env]int }
+
+func (c *countingInterceptor) Intercept(env *models.Env, _ string, _ float64) bool {
+	c.seen[env]++
+	return false
+}
+
+// TestSessionForkKeepsFaultWiring: a fork of a session under SetFaults
+// still routes every charge through the injector (and whatever the
+// injector wraps), on the fork's own Env.
+func TestSessionForkKeepsFaultWiring(t *testing.T) {
+	v := vqpy.GenerateVideo(vqpy.DatasetCityFlow(11, 4))
+	inner := &countingInterceptor{seen: map[*models.Env]int{}}
+	parent := vqpy.NewSession(11)
+	parent.SetNoBurn(true)
+	parent.Env().Interceptor = inner
+	inj := vqpy.NewFaultInjector(vqpy.FaultSchedule{Seed: 1})
+	parent.SetFaults(inj)
+
+	fork := parent.Fork()
+	if fork.Faults() != inj || fork.Env().Interceptor != models.ChargeInterceptor(inj) {
+		t.Fatal("the fork lost the injector")
+	}
+	if _, err := fork.Execute(forkRedCar(), v); err != nil {
+		t.Fatal(err)
+	}
+	if inner.seen[fork.Env()] == 0 || inner.seen[parent.Env()] != 0 {
+		t.Errorf("charges seen through the injector: %d on the fork's env, %d on the parent's; want all on the fork's",
+			inner.seen[fork.Env()], inner.seen[parent.Env()])
+	}
+	if fork.Clock().TotalMS() == 0 || parent.Clock().TotalMS() != 0 {
+		t.Errorf("fork charged %v, parent %v", fork.Clock().TotalMS(), parent.Clock().TotalMS())
 	}
 }

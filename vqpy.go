@@ -188,6 +188,19 @@ func (s *Session) SetFaults(inj *fault.Injector) {
 // Faults returns the injector installed by SetFaults, or nil.
 func (s *Session) Faults() *fault.Injector { return s.faults }
 
+// Fork returns a session for work that runs beside this one: the same
+// seed, real-time behaviour, model registry, fault injector and charge
+// interceptor, but a fresh, empty clock — so a query executed on the
+// fork reads its own exact cost (Result.VirtualMS is a clock delta)
+// however much the parent charges meanwhile. Fold the fork's ledger
+// back with s.Clock().Merge(fork.Clock()) when the work is done; the
+// merged ledger equals having run the work on s.
+func (s *Session) Fork() *Session {
+	env := s.env.Fork()
+	env.Interceptor = s.env.Interceptor
+	return &Session{env: env, registry: s.registry, faults: s.faults}
+}
+
 // config collects per-execution options.
 type config struct {
 	planOpts plan.Options
