@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vqbench [-exp all|fig13a|fig13b|fig14|fig15|fig16|table5|table6|table7|memo|planner|batch|lazy|edge|multi|muxscan|churn|rescan|fleet|chaos|search|fidelity|text|dag]
+//	vqbench [-exp all|fig13a|fig13b|fig14|fig15|fig16|table5|table6|table7|memo|planner|lazy|edge|multi|muxscan|churn|rescan|fleet|chaos|search|fidelity|text|dag]
 //	        [-seed N] [-scale F] [-parallel N] [-burn] [-csv] [-json FILE]
 //	vqbench -check bench_baselines.json
 //
@@ -96,7 +96,6 @@ var experiments = []experiment{
 	{name: "table7", run: bench.RunTable7},
 	{name: "memo", run: bench.RunMemoAblation},
 	{name: "planner", run: bench.RunPlannerAblation},
-	{name: "batch", run: bench.RunBatchAblation},
 	{name: "lazy", run: bench.RunLazyAblation},
 	{name: "edge", run: bench.RunEdgeAblation},
 	{name: "multi", run: bench.RunMultiQuery, artifact: "BENCH_1.json"},

@@ -103,29 +103,6 @@ func RunPlannerAblation(cfg Config) (*metrics.Report, error) {
 	return rep, nil
 }
 
-// RunBatchAblation (E14-adjacent) sweeps executor batch sizes; cost is
-// invariant (work is per frame) but the sweep guards the batching path.
-func RunBatchAblation(cfg Config) (*metrics.Report, error) {
-	cfg = cfg.withDefaults()
-	v := video.CityFlow(cfg.Seed, 60*cfg.Scale).Generate()
-	rep := &metrics.Report{
-		Title:  "Ablation: executor batch size",
-		Header: []string{"batch", "virtual_s", "matched_frames"},
-	}
-	for _, b := range []int{1, 4, 8, 32} {
-		s := cfg.session()
-		before := s.Clock().TotalMS()
-		rr, err := s.Execute(vqpyRedCarQuery(), v,
-			vqpy.WithBatchSize(b), vqpy.WithoutFrameFilters(), vqpy.WithoutSpecialized())
-		if err != nil {
-			return nil, err
-		}
-		rep.AddRow(fmt.Sprint(b), metrics.Sec(s.Clock().TotalMS()-before), fmt.Sprint(rr.MatchedCount()))
-	}
-	rep.AddNote("expected shape: identical results and costs across batch sizes (batching is an iteration-granularity knob)")
-	return rep, nil
-}
-
 // RunLazyAblation quantifies the lazy-evaluation contribution in
 // isolation (§5.1's first mechanism) by disabling filter interleaving.
 func RunLazyAblation(cfg Config) (*metrics.Report, error) {

@@ -244,20 +244,6 @@ func TestPlannerAblationShape(t *testing.T) {
 	}
 }
 
-func TestBatchAblationShape(t *testing.T) {
-	rep, err := RunBatchAblation(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", rep)
-	base := rep.Rows[0]
-	for _, row := range rep.Rows[1:] {
-		if row[2] != base[2] {
-			t.Errorf("batch size changed results: %v vs %v", row, base)
-		}
-	}
-}
-
 func TestLazyAblationShape(t *testing.T) {
 	rep, err := RunLazyAblation(smallCfg())
 	if err != nil {

@@ -216,24 +216,35 @@ func TestMemoStore(t *testing.T) {
 func TestSharedCacheLabels(t *testing.T) {
 	c := NewSharedCache()
 	box := boxAt(10, 20)
-	if _, ok := c.GetLabel("m", 5, box, 1); ok {
-		t.Error("empty cache hit")
+	computed := 0
+	label := func(c *SharedCache, frame, truthID int, v string) any {
+		t.Helper()
+		got, err := c.DoLabel("m", frame, box, truthID, func() (any, error) {
+			computed++
+			return v, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	c.PutLabel("m", 5, box, 1, "red")
-	v, ok := c.GetLabel("m", 5, box, 1)
-	if !ok || v != "red" {
-		t.Errorf("GetLabel = %v %v", v, ok)
+	if v := label(c, 5, 1, "red"); v != "red" || computed != 1 {
+		t.Errorf("empty cache: %v after %d computes", v, computed)
 	}
-	if _, ok := c.GetLabel("m", 6, box, 1); ok {
-		t.Error("wrong frame hit")
+	if v := label(c, 5, 1, "stale"); v != "red" || computed != 1 {
+		t.Errorf("cached label = %v after %d computes", v, computed)
 	}
-	if _, ok := c.GetLabel("m", 5, box, 2); ok {
-		t.Error("wrong object hit: labels must be per-object")
+	if v := label(c, 6, 1, "blue"); v != "blue" {
+		t.Errorf("wrong frame hit: %v", v)
 	}
-	// nil cache is a no-op.
+	if v := label(c, 5, 2, "green"); v != "green" {
+		t.Errorf("wrong object hit: labels must be per-object: %v", v)
+	}
+	// A nil cache computes every time and must not panic.
 	var nilCache *SharedCache
-	if _, ok := nilCache.GetLabel("m", 5, box, 1); ok {
-		t.Error("nil cache hit")
+	before := computed
+	label(nilCache, 5, 1, "x")
+	if v := label(nilCache, 5, 1, "y"); v != "y" || computed != before+2 {
+		t.Errorf("nil cache cached: %v after %d computes", v, computed-before)
 	}
-	nilCache.PutLabel("m", 5, box, 1, "x") // must not panic
 }

@@ -21,7 +21,7 @@ type Options struct {
 	Registry *models.Registry
 	// Cache enables query-level computation reuse across executions
 	// (§4.2); optional. The cache is safe to share between concurrent
-	// executors (see RunAll).
+	// executors (plan.RunAll's workers do).
 	Cache *SharedCache
 	// MaxFrames truncates processing (canary profiling); 0 means all.
 	MaxFrames int
@@ -126,33 +126,6 @@ func NewExecutor(opts Options) (*Executor, error) {
 // trackerCostMS is the virtual cost of one lightweight tracker update
 // (§4.2's Kalman-filter tracker).
 const trackerCostMS = 0.3
-
-// Run executes the plan over the whole video: the offline batch mode of
-// §4.1. It is a thin driver over the streaming path — frames are grouped
-// into BatchSize windows and fed through the same per-frame machinery as
-// OpenStream/Feed, so both modes share one implementation.
-func (e *Executor) Run(p *Plan, v *video.Video) (*Result, error) {
-	st, err := e.OpenStream(p, v.FPS)
-	if err != nil {
-		return nil, err
-	}
-	limit := len(v.Frames)
-	if e.opts.MaxFrames > 0 && e.opts.MaxFrames < limit {
-		limit = e.opts.MaxFrames
-	}
-	for batchStart := 0; batchStart < limit; batchStart += p.BatchSize {
-		batchEnd := batchStart + p.BatchSize
-		if batchEnd > limit {
-			batchEnd = limit
-		}
-		for i := batchStart; i < batchEnd; i++ {
-			if _, err := st.Feed(&v.Frames[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return st.Close(), nil
-}
 
 // runFrame applies every plan step to one frame, short-circuiting once
 // the frame is dropped. When the plan carries an uplink cost, each

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"vqpy/internal/core"
@@ -47,7 +48,27 @@ func manualPlan(q *core.Query, inst string, t *core.VObjType, extraSteps ...Step
 		{Kind: StepProject, Instance: inst, Prop: colorProp},
 	}
 	steps = append(steps, extraSteps...)
-	return &Plan{Query: q, Steps: steps, BatchSize: 4, Label: "manual"}
+	return &Plan{Query: q, Steps: steps, Label: "manual"}
+}
+
+// poolPlans builds several distinct red/blue/black-car plans over the
+// shared manual-plan scaffolding.
+func poolPlans(t *testing.T, n int) []*Plan {
+	t.Helper()
+	colors := []string{"red", "blue", "black", "white", "silver", "green", "red", "blue"}
+	plans := make([]*Plan, 0, n)
+	for i := 0; i < n; i++ {
+		ct := carType()
+		q := core.NewQuery(fmt.Sprintf("Q%d", i)).
+			Use("car", ct).
+			Where(core.And(
+				core.P("car", core.PropScore).Gt(0.5),
+				core.P("car", "color").Eq(colors[i%len(colors)]),
+			)).
+			FrameOutput(core.Sel("car", core.PropTrackID), core.Sel("car", "color"))
+		plans = append(plans, manualPlan(q, "car", ct))
+	}
+	return plans
 }
 
 func redCarQuery(t *core.VObjType) *core.Query {
@@ -189,7 +210,7 @@ func TestLazyFilterSkipsExpensiveProp(t *testing.T) {
 				Step{Kind: StepVObjFilter, FilterPred: core.P("car", "color").Eq("red")},
 			)
 		}
-		p := &Plan{Query: q, Steps: steps, BatchSize: 4, DisableMemo: true, Label: "t"}
+		p := &Plan{Query: q, Steps: steps, DisableMemo: true, Label: "t"}
 		return p
 	}
 	envLazy, envEager := testEnv(), testEnv()
@@ -228,7 +249,7 @@ func TestStatefulVelocity(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "car", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "car"},
 		{Kind: StepProject, Instance: "car", Prop: velProp},
-	}, BatchSize: 8, Label: "vel"}
+	}, Label: "vel"}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {
@@ -267,7 +288,7 @@ func TestVideoAggregationCountsTracks(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "car", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "car"},
 		{Kind: StepProject, Instance: "car", Prop: colorProp},
-	}, BatchSize: 8, Label: "count"}
+	}, Label: "count"}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {
@@ -299,7 +320,7 @@ func TestFrameFilterDropsFrames(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "car", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "car"},
 		{Kind: StepProject, Instance: "car", Prop: colorProp},
-	}, BatchSize: 4, Label: "filt"}
+	}, Label: "filt"}
 	env := testEnv()
 	ex, _ := NewExecutor(Options{Env: env, Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
@@ -336,7 +357,7 @@ func TestRelationDistanceQuery(t *testing.T) {
 		{Kind: StepTrack, Instance: "c"},
 		{Kind: StepRelProject, Relation: "near", RelBind: rb, RelProp: distProp},
 		{Kind: StepRelFilter, Relation: "near", RelPred: core.RP("near", "distance").Lt(150)},
-	}, BatchSize: 4, Label: "rel"}
+	}, Label: "rel"}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {
@@ -405,7 +426,7 @@ func TestPlanValidation(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		p := &Plan{Query: q, Steps: c.steps, BatchSize: 4}
+		p := &Plan{Query: q, Steps: c.steps}
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: invalid plan accepted", c.name)
 		}
@@ -414,11 +435,11 @@ func TestPlanValidation(t *testing.T) {
 	if err := manualPlan(q, "car", ct).Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
-	// Batch size 0 rejected.
+	// A plan without a query is rejected.
 	p := manualPlan(q, "car", ct)
-	p.BatchSize = 0
+	p.Query = nil
 	if err := p.Validate(); err == nil {
-		t.Error("batch size 0 accepted")
+		t.Error("plan without query accepted")
 	}
 }
 
@@ -483,15 +504,26 @@ func TestDetectionCacheRoundTrip(t *testing.T) {
 		{Box: boxAt(1, 2), Class: int(video.ClassCar), Score: 0.9, Ref: 7},
 		{Box: boxAt(3, 4), Class: int(video.ClassPerson), Score: 0.8, Ref: -1},
 	}
-	c.PutDetections("m", 3, in)
-	out, ok := c.GetDetections("m", 3)
-	if !ok || len(out) != 2 {
-		t.Fatalf("round trip failed: %v %v", out, ok)
+	computed := 0
+	get := func(frame int) []track.Detection {
+		out, err := c.DoDetections("m", frame, func() ([]track.Detection, error) {
+			computed++
+			return in, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	get(3)
+	out := get(3)
+	if computed != 1 || len(out) != 2 {
+		t.Fatalf("round trip failed: %v after %d computes", out, computed)
 	}
 	if out[0].Box != in[0].Box || out[0].Class != in[0].Class || out[0].Ref.(int) != 7 {
 		t.Errorf("detection mangled: %+v", out[0])
 	}
-	if _, ok := c.GetDetections("m", 4); ok {
+	if get(4); computed != 2 {
 		t.Error("wrong frame hit")
 	}
 }

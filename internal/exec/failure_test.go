@@ -46,7 +46,7 @@ func TestPropertyErrorPropagates(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "car", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "car"},
 		{Kind: StepProject, Instance: "car", Prop: badProp},
-	}, BatchSize: 4}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	_, err := ex.Run(p, v)
 	if err == nil || !errors.Is(err, boom) {
@@ -72,7 +72,7 @@ func TestErrNotReadyIsNotFatal(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "car", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "car"},
 		{Kind: StepProject, Instance: "car", Prop: prop},
-	}, BatchSize: 4}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestUnknownModelErrors(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		p := &Plan{Query: q, Steps: c.steps, BatchSize: 2}
+		p := &Plan{Query: q, Steps: c.steps}
 		ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 		if _, err := ex.Run(p, v); err == nil {
 			t.Errorf("%s: missing model accepted", c.name)
@@ -125,7 +125,7 @@ func TestModelKindMismatch(t *testing.T) {
 	p := &Plan{Query: q, Steps: []Step{
 		{Kind: StepFrameFilter, FilterModel: "yolox"}, // wrong kind
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "car", Class: video.ClassCar}}},
-	}, BatchSize: 2}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	if _, err := ex.Run(p, v); err == nil || !strings.Contains(err.Error(), "not a binary filter") {
 		t.Errorf("kind mismatch error = %v", err)
@@ -153,7 +153,7 @@ func TestOrAcrossInstances(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "car_detector", Binds: []InstanceBind{{Instance: "c", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "c"},
 		{Kind: StepProject, Instance: "c", Prop: colorProp},
-	}, BatchSize: 4}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestStatefulRelationProperty(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "car_detector", Binds: []InstanceBind{{Instance: "c", Class: video.ClassCar}}},
 		{Kind: StepTrack, Instance: "c"},
 		{Kind: StepRelProject, Relation: "approach", RelBind: rb, RelProp: prop},
-	}, BatchSize: 4}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestRelProjectModelMismatch(t *testing.T) {
 		{Kind: StepDetect, DetectModel: "person_detector", Binds: []InstanceBind{{Instance: "p", Class: video.ClassPerson}}},
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "b", Class: video.ClassBall}}},
 		{Kind: StepRelProject, Relation: "pb", RelBind: rb, RelProp: prop},
-	}, BatchSize: 4}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	_, err := ex.Run(p, v)
 	// The error fires only when both a person and a ball are detected
@@ -267,7 +267,7 @@ func TestHOIInteractionQuery(t *testing.T) {
 		{Kind: StepTrack, Instance: "b"},
 		{Kind: StepRelProject, Relation: "pb", RelBind: rb, RelProp: prop},
 		{Kind: StepRelFilter, Relation: "pb", RelPred: core.RP("pb", "interaction").Eq("hit")},
-	}, BatchSize: 4}
+	}}
 	ex, _ := NewExecutor(Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
 	res, err := ex.Run(p, v)
 	if err != nil {

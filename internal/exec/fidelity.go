@@ -17,7 +17,6 @@ package exec
 import (
 	"fmt"
 
-	"vqpy/internal/track"
 	"vqpy/internal/video"
 )
 
@@ -75,120 +74,24 @@ func (e *Executor) RunFidelityReplay(p *Plan, src video.FrameSource, fidKey, tie
 	if err != nil {
 		return nil, stats, err
 	}
-	m.mu.Lock()
-	if m.src == nil {
-		m.src = src
-	}
-	if m.store == nil {
-		m.mu.Unlock()
-		return nil, stats, fmt.Errorf("exec: RunFidelityReplay requires a bound store (Options.Store)")
-	}
-	l := m.lanes[0]
-	if l.group == nil {
-		m.mu.Unlock()
-		return nil, stats, fmt.Errorf("exec: RunFidelityReplay lane has no scan group")
-	}
-	if err := m.replayFidelityFrames(l, fidKey, tierDetect, stride, covered, &stats); err != nil {
-		m.mu.Unlock()
+	stats.ReplayedFrames, stats.DegradedFrames, err = m.replaySolo(src, replay{
+		n: covered, stride: stride,
+		scanKey: fidKey, detect: tierDetect, liveOnMiss: true,
+		account: "fidelity_replay", chargeMS: FidelityReplayMS,
+	})
+	if err != nil {
 		return nil, stats, err
 	}
-	// The residual feed below must not consult the archive: the
-	// full-fidelity group key may hold records from other passes whose
-	// from-zero ids do not match this lane's replay-local tracker, and
-	// persisting this pass's cross-start ids would poison them. Wrapped
-	// mode is exactly that contract (see Feed).
-	m.wrapped = true
-	m.mu.Unlock()
-	for f := covered; f < n; f++ {
-		if _, err := m.Feed(src.FrameAt(f)); err != nil {
-			return nil, stats, err
-		}
-		stats.ResidualFrames++
+	// The residual feed must not consult the archive: the full-fidelity
+	// group key may hold records from other passes whose from-zero ids do
+	// not match this lane's replay-local tracker, and persisting this
+	// pass's cross-start ids would poison them.
+	m.sealArchive()
+	if err := m.FeedRange(src, covered, n, 1); err != nil {
+		return nil, stats, err
+	}
+	if n > covered {
+		stats.ResidualFrames = n - covered
 	}
 	return m.Close()[0], stats, nil
 }
-
-// replayFidelityFrames replays the stride-aligned frames of
-// [0, covered) from the tier archive through the lane, degrading any
-// unreadable frame to one live full-fidelity detector invocation.
-// Callers hold m.mu.
-func (m *MuxStream) replayFidelityFrames(l *muxLane, fidKey, tierDetect string, stride, covered int, stats *FidelityReplayStats) error {
-	g := l.group
-	clock := m.e.opts.Env.Clock
-	var cdets []track.Detection
-	for f := 0; f < covered; f += stride {
-		fr := m.src.FrameAt(f)
-		before := clock.TotalMS()
-		rec, release, ok := m.store.GetScanRef(m.source, fidKey, f)
-		if ok {
-			err := func() error {
-				defer release()
-				if rec.Dropped {
-					return m.laneReplayFrame(l, fr, true, nil, nil)
-				}
-				sdets, have := m.store.GetDets(m.source, tierDetect, f)
-				if !have {
-					return errFidelityMiss
-				}
-				cdets = cdets[:0]
-				for i := range sdets {
-					if classOf(sdets[i].Class) == l.sig.Class {
-						cdets = append(cdets, track.Detection{
-							Box: sdets[i].Box, Class: sdets[i].Class, Score: sdets[i].Score, Ref: sdets[i].TruthID,
-						})
-					}
-				}
-				ids, have := rec.IDs[int(l.sig.Class)]
-				if !have || len(ids) != len(cdets) {
-					return errFidelityMiss
-				}
-				if err := m.laneReplayFrame(l, fr, false, cdets, ids); err != nil {
-					return err
-				}
-				m.e.opts.Env.ChargeClockOnly("fidelity_replay", FidelityReplayMS)
-				stats.ReplayedFrames++
-				return nil
-			}()
-			if err == nil {
-				l.virtualMS += clock.TotalMS() - before
-				continue
-			}
-			if err != errFidelityMiss {
-				return err
-			}
-		}
-		// Archive miss (never written, evicted, or failed by an injected
-		// read fault): answer the frame live at full fidelity. The query's
-		// own detector runs at full cost — a faulted tier degrades to
-		// money, not accuracy — and the output binds with replay-local ids
-		// (no tracker state exists to consult mid-replay).
-		det, err := m.e.opts.Registry.Detector(g.detect)
-		if err != nil {
-			return err
-		}
-		live := det.Detect(m.e.opts.Env, fr)
-		cdets = cdets[:0]
-		for i := range live {
-			if live[i].Class == l.sig.Class {
-				cdets = append(cdets, track.Detection{
-					Box: live[i].Box, Class: int(live[i].Class), Score: live[i].Score, Ref: live[i].TruthID,
-				})
-			}
-		}
-		ids := make([]int, len(cdets))
-		for i := range ids {
-			ids[i] = -1
-		}
-		if err := m.laneReplayFrame(l, fr, false, cdets, ids); err != nil {
-			return err
-		}
-		stats.DegradedFrames++
-		l.virtualMS += clock.TotalMS() - before
-	}
-	return nil
-}
-
-// errFidelityMiss is the internal signal that one replayed frame's
-// archive records were unreadable; the caller degrades that frame to a
-// live invocation instead of failing the replay.
-var errFidelityMiss = fmt.Errorf("exec: fidelity archive miss")

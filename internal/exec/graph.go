@@ -236,13 +236,6 @@ func (fc *FrameCtx) Edge(relation string, l, r *Node) *RelEdge {
 	return nil
 }
 
-// Batch is the unit flowing through the operator pipeline: a window of
-// consecutive frames (§4.1: "the executor generates frame batches ...
-// and executes the pipeline on a per-batch basis").
-type Batch struct {
-	Frames []*FrameCtx
-}
-
 // assignment binds query instances to concrete nodes for predicate
 // evaluation. It implements core.Binding: instance properties resolve
 // through the assigned node, relation properties through the frame's

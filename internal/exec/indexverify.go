@@ -14,7 +14,6 @@ package exec
 import (
 	"fmt"
 
-	"vqpy/internal/track"
 	"vqpy/internal/video"
 )
 
@@ -61,9 +60,9 @@ func IndexVerifiable(p *Plan) bool {
 
 // RunIndexVerify executes one plan over the frames that matter: the
 // candidate frames (ascending, all below covered) are replayed from the
-// archive through the plan's lane — the backfill machinery with the
-// tracker work elided, since archived ids are applied verbatim — and
-// the uncovered residual range [covered, n) is then fed normally
+// archive through the plan's lane — the backfill loop with the tracker
+// work elided, since archived ids are applied verbatim — and the
+// uncovered residual range [covered, n) is then fed normally
 // (store-served where archived, live otherwise, with the usual
 // tracker/filter catch-up so residual verdicts match a continuous run).
 //
@@ -87,130 +86,21 @@ func (e *Executor) RunIndexVerify(p *Plan, src video.FrameSource, candidates []i
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if m.src == nil {
-		m.src = src
-	}
-	if m.store == nil {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("exec: RunIndexVerify requires a bound store (Options.Store)")
-	}
-	l := m.lanes[0]
-	g := l.group
-	if g == nil {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("exec: RunIndexVerify lane has no scan group")
-	}
-	if err := m.verifyCandidates(l, candidates, covered); err != nil {
-		m.mu.Unlock()
+	sig := ScanPrefixOf(p)
+	if _, _, err := m.replaySolo(src, replay{
+		n: covered, candidates: candidates,
+		scanKey: sig.Key(), detect: sig.Detect,
+		account: "index_verify", chargeMS: indexVerifyMS,
+	}); err != nil {
 		return nil, err
 	}
 	if covered < n {
-		// The residual range runs through the ordinary feed path below.
-		// Seed the shared tracker's catch-up backlog with every archived
-		// non-dropped covered frame — the frames a from-zero tracker
-		// would have consumed — so if any residual frame misses the
-		// archive and needs live tracking, replayPending restores exactly
-		// the from-zero state first. The filter chain likewise catches up
-		// from frame zero if it ever runs live (stateless chains skip it).
-		if err := m.seedCoveredPending(g, covered); err != nil {
-			m.mu.Unlock()
+		if err := m.resumeAfter(covered); err != nil {
 			return nil, err
 		}
-		g.filterPos = 0
-	}
-	m.mu.Unlock()
-	for f := covered; f < n; f++ {
-		if _, err := m.Feed(src.FrameAt(f)); err != nil {
+		if err := m.FeedRange(src, covered, n, 1); err != nil {
 			return nil, err
 		}
 	}
 	return m.Close()[0], nil
-}
-
-// verifyCandidates replays the candidate frames through the lane with
-// archived scan output applied verbatim. Callers hold m.mu.
-func (m *MuxStream) verifyCandidates(l *muxLane, candidates []int, covered int) error {
-	g := l.group
-	clock := m.e.opts.Env.Clock
-	last := -1
-	var cdets []track.Detection
-	for _, f := range candidates {
-		if f <= last {
-			return fmt.Errorf("exec: candidate frames must be strictly ascending (%d after %d)", f, last)
-		}
-		last = f
-		if f >= covered {
-			return fmt.Errorf("exec: candidate frame %d is outside index coverage [0, %d)", f, covered)
-		}
-		rec, release, ok := m.store.GetScanRef(m.source, g.key, f)
-		if !ok {
-			return fmt.Errorf("exec: store does not cover candidate frame %d of scan group %q", f, g.key)
-		}
-		err := func() error {
-			defer release()
-			if rec.Detect != g.detect {
-				return fmt.Errorf("exec: archived scan of %q used detector %q but the plan chose %q", g.key, rec.Detect, g.detect)
-			}
-			before := clock.TotalMS()
-			fr := m.src.FrameAt(f)
-			if rec.Dropped {
-				if err := m.laneReplayFrame(l, fr, true, nil, nil); err != nil {
-					return err
-				}
-			} else {
-				sdets, ok := m.store.GetDets(m.source, g.detect, f)
-				if !ok {
-					return fmt.Errorf("exec: store lacks archived detections for %s@%d", g.detect, f)
-				}
-				cdets = cdets[:0]
-				for i := range sdets {
-					if classOf(sdets[i].Class) == l.sig.Class {
-						cdets = append(cdets, track.Detection{
-							Box: sdets[i].Box, Class: sdets[i].Class, Score: sdets[i].Score, Ref: sdets[i].TruthID,
-						})
-					}
-				}
-				ids, have := rec.IDs[int(l.sig.Class)]
-				if !have || len(ids) != len(cdets) {
-					return fmt.Errorf("exec: archived frame %d of %q has no from-zero ids for class %s", f, g.key, l.sig.Class)
-				}
-				if err := m.laneReplayFrame(l, fr, false, cdets, ids); err != nil {
-					return err
-				}
-			}
-			m.e.opts.Env.ChargeClockOnly("index_verify", indexVerifyMS)
-			l.virtualMS += clock.TotalMS() - before
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// seedCoveredPending fills every class tracker's catch-up backlog with
-// the archived non-dropped frames of [0, covered). Callers hold m.mu.
-func (m *MuxStream) seedCoveredPending(g *muxGroup, covered int) error {
-	for f := 0; f < covered; f++ {
-		rec, release, ok := m.store.GetScanRef(m.source, g.key, f)
-		if !ok {
-			return fmt.Errorf("exec: store does not cover frame %d of scan group %q inside index coverage", f, g.key)
-		}
-		dropped := rec.Dropped
-		mismatch := rec.Detect != g.detect
-		release()
-		if mismatch {
-			return fmt.Errorf("exec: archived scan of %q at frame %d used a different detector", g.key, f)
-		}
-		if dropped {
-			continue
-		}
-		for _, cls := range g.classes {
-			st := g.tracks[cls]
-			st.pending = append(st.pending, f)
-		}
-	}
-	return nil
 }

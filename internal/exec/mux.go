@@ -1,8 +1,8 @@
 package exec
 
 // MuxStream is the physical shared-scan layer of the single-pass engine:
-// one frame stream, many queries. Where RunAll runs N query streams that
-// each scan the whole video (sharing only model outputs through the
+// one frame stream, many queries. Where plan.RunAll runs N query streams
+// that each scan the whole video (sharing only model outputs through the
 // cache), a MuxStream pulls every frame from its FrameSource exactly
 // once, runs each distinct scan prefix — frame-filter chain, detector,
 // tracker — exactly once per frame, and fans the shared detect/track
@@ -38,7 +38,6 @@ import (
 	"strings"
 	"sync"
 
-	"vqpy/internal/core"
 	"vqpy/internal/models"
 	"vqpy/internal/store"
 	"vqpy/internal/track"
@@ -167,36 +166,6 @@ type muxGroup struct {
 	filterPos int
 }
 
-// muxLane is one query's private slice of the mux: its residual plan and
-// all per-query state (trackers for non-shared instances, memo, history
-// windows, result accumulation).
-type muxLane struct {
-	id      int
-	plan    *Plan
-	runPlan *Plan // residual steps for shared lanes, the full plan otherwise
-	sig     ScanSig
-	group   *muxGroup // nil when the plan is not shareable
-
-	rs         *runState
-	filters    map[string]models.BinaryFilter
-	specs      []windowSpec
-	insts      []string
-	relBinds   map[string]relParticipants
-	frameCons  core.Pred
-	videoCons  core.Pred
-	outputSels []core.Selector
-
-	res        *Result
-	fc         *FrameCtx
-	virtualMS  float64
-	sharedMS   float64
-	matched    int  // running matched-frame count (cheap stats reads)
-	degraded   int  // frames answered under degradation
-	attachedAt int  // stream position (frames fed before attach)
-	backfilled bool // history replayed from the store at attach
-	finalized  bool
-}
-
 // MuxStream multiplexes several query plans over one frame stream. Like
 // Stream it processes frames on one goroutine at a time, but all methods
 // are guarded by an internal mutex so queries can be attached and
@@ -206,17 +175,20 @@ type muxLane struct {
 type MuxStream struct {
 	mu        sync.Mutex
 	e         *Executor
-	lanes     []*muxLane
-	byID      map[int]*muxLane
+	lanes     []*lane
+	byID      map[int]*lane
 	groups    []*muxGroup
 	byKey     map[string]*muxGroup
 	nextLane  int
 	nextGroup int
 	fps       int
 	framesFed int
-	lastFed   int  // highest frame index fed so far (-1 before the first)
-	wrapped   bool // a looping source re-fed earlier indices (see Feed)
+	lastFed   int // highest frame index fed so far (-1 before the first)
 	closed    bool
+	// archiveOff puts the scan archive off limits both ways — no frame is
+	// served from it, none persisted to it. Set when a looping source
+	// wraps (see Feed) and by a fidelity replay ahead of its residual.
+	archiveOff bool
 
 	// store / source / src are set by BindStore: the persistent result
 	// store scan groups consult before doing model work (and populate on
@@ -228,10 +200,13 @@ type MuxStream struct {
 	src    video.FrameSource
 }
 
-// newMux prepares an empty stream sharing the executor's cache (one is
-// created when the executor has none: the mux relies on it to
-// deduplicate detector and classifier work that stays per-lane).
-func (e *Executor) newMux(fps int) *MuxStream {
+// OpenDynamicMux prepares an empty shared-scan stream for live serving:
+// queries arrive later through Attach. Feeding frames with no lanes
+// attached is legal and does no model work. The stream shares the
+// executor's cache (one is created when the executor has none: the mux
+// relies on it to deduplicate detector and classifier work that stays
+// per-lane).
+func (e *Executor) OpenDynamicMux(fps int) *MuxStream {
 	opts := e.opts
 	if opts.Cache == nil {
 		opts.Cache = NewSharedCache()
@@ -239,7 +214,7 @@ func (e *Executor) newMux(fps int) *MuxStream {
 	m := &MuxStream{
 		e:       &Executor{opts: opts},
 		fps:     fps,
-		byID:    make(map[int]*muxLane),
+		byID:    make(map[int]*lane),
 		byKey:   make(map[string]*muxGroup),
 		lastFed: -1,
 	}
@@ -292,20 +267,13 @@ func (e *Executor) OpenMux(plans []*Plan, fps int) (*MuxStream, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("exec: OpenMux with no plans")
 	}
-	m := e.newMux(fps)
+	m := e.OpenDynamicMux(fps)
 	for _, p := range plans {
 		if _, err := m.Attach(p); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-// OpenDynamicMux prepares an empty shared-scan stream for live serving:
-// queries arrive later through Attach. Feeding frames with no lanes
-// attached is legal and does no model work.
-func (e *Executor) OpenDynamicMux(fps int) *MuxStream {
-	return e.newMux(fps)
 }
 
 // Attach admits one more plan onto the running stream and returns its
@@ -328,36 +296,67 @@ func (m *MuxStream) Attach(p *Plan) (int, error) {
 	return l.id, nil
 }
 
+// AttachBackfill admits a plan like Attach and then replays it over
+// every frame the stream already scanned, reading the archived per-frame
+// scan output from the bound store — so the lane's result is
+// bit-identical to having been attached at frame zero (the crosscheck
+// against a fresh OpenShared of the same set is a test invariant).
+// Historical detector, filter and tracker outputs are applied, not
+// recomputed; only the lane's residual operators (properties behind the
+// label store, predicates, aggregation) run, in frame order, exactly as
+// Feed would have run them.
+//
+// Requirements: a store and frame source are bound (BindStore), the
+// stream has not wrapped a looping source, the store covers every
+// already-scanned frame of the plan's scan group, and the group's class
+// tracker — when it predates this attach — has from-zero semantics
+// (bornAt 0), since a tracker cold-started mid-stream assigns ids a
+// from-zero replay could not match. On any failure the attach is rolled
+// back and the stream is left exactly as it was.
+func (m *MuxStream) AttachBackfill(p *Plan) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return 0, fmt.Errorf("exec: AttachBackfill on closed mux stream")
+	}
+	if m.store == nil || m.src == nil {
+		return 0, fmt.Errorf("exec: AttachBackfill requires a bound store and frame source (MuxStream.BindStore)")
+	}
+	n := m.framesFed
+	if m.archiveOff || n > m.src.NumFrames() {
+		return 0, fmt.Errorf("exec: AttachBackfill after the stream wrapped its %d-frame source (%d frames fed): history is ambiguous", m.src.NumFrames(), n)
+	}
+	// Fail fast, before any lane state exists, when the archive cannot
+	// possibly cover the replay (the replay still verifies per frame).
+	if sig := ScanPrefixOf(p); sig.Shareable && n > 0 && !m.store.CoversScans(m.source, sig.Key(), n) {
+		return 0, fmt.Errorf("exec: store does not cover the %d already-scanned frames of scan group %q; cannot backfill", n, sig.Key())
+	}
+	l, err := m.attachLocked(p)
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		l.backfilled = true
+		return l.id, nil
+	}
+	if err := m.backfill(l, n); err != nil {
+		m.detachLocked(l)
+		return 0, err
+	}
+	return l.id, nil
+}
+
 // attachLocked admits one plan, returning its lane. Callers hold m.mu.
-func (m *MuxStream) attachLocked(p *Plan) (*muxLane, error) {
-	if err := p.Validate(); err != nil {
+func (m *MuxStream) attachLocked(p *Plan) (*lane, error) {
+	nl, err := newLane(p, m.fps, m.framesFed)
+	if err != nil {
 		return nil, err
 	}
-	if err := p.Query.Validate(); err != nil {
-		return nil, err
-	}
-	sig := ScanPrefixOf(p)
-	l := &muxLane{
-		id: m.nextLane, plan: p, runPlan: p, sig: sig,
-		rs:      newRunState(),
-		filters: make(map[string]models.BinaryFilter),
-		specs:   windowSpecs(p),
-		insts:   p.Query.InstanceNames(),
-		relBinds: func() map[string]relParticipants {
-			out := make(map[string]relParticipants)
-			for name, rb := range p.Query.Relations() {
-				out[name] = relParticipants{left: rb.LeftInst, right: rb.RightInst}
-			}
-			return out
-		}(),
-		frameCons:  p.Query.FrameConstraint(),
-		videoCons:  p.Query.VideoConstraint(),
-		outputSels: p.Query.FrameOutputSelectors(),
-		res:        &Result{Query: p.Query.Name(), FPS: m.fps},
-		attachedAt: m.framesFed,
-	}
+	l := &nl
+	l.id = m.nextLane
 	m.nextLane++
-	if sig.Shareable {
+	if sig := ScanPrefixOf(p); sig.Shareable {
+		l.sig = sig
 		key := sig.Key()
 		g, ok := m.byKey[key]
 		if !ok {
@@ -412,12 +411,13 @@ func (m *MuxStream) Detach(id int) (*Result, error) {
 		return nil, fmt.Errorf("exec: Detach of unknown lane %d", id)
 	}
 	m.detachLocked(l)
+	l.aggregate(l.res)
 	return l.res, nil
 }
 
 // detachLocked removes one lane and tears down shared state it was the
 // last user of. Callers hold m.mu.
-func (m *MuxStream) detachLocked(l *muxLane) {
+func (m *MuxStream) detachLocked(l *lane) {
 	delete(m.byID, l.id)
 	for i, cand := range m.lanes {
 		if cand == l {
@@ -449,7 +449,6 @@ func (m *MuxStream) detachLocked(l *muxLane) {
 			}
 		}
 	}
-	m.finalizeLane(l)
 }
 
 // Groups reports the shared-scan structure: for each group, its filter
@@ -594,7 +593,7 @@ func (m *MuxStream) FramesFed() int {
 // coverage never changes results, only costs.
 func (m *MuxStream) scanGroup(g *muxGroup, f *video.Frame) error {
 	g.degradedBy = ""
-	if m.store != nil && !m.wrapped {
+	if m.store != nil && !m.archiveOff {
 		served, err := m.scanGroupFromStore(g, f)
 		if err != nil {
 			return err
@@ -691,32 +690,6 @@ func (m *MuxStream) liveTrackUpdate(st *sharedTrack) {
 	st.ids, st.upBuf = m.trackerUpdate(st.tracker, st.dets, st.ids, st.upBuf)
 }
 
-// bindLane materializes the shared detect/track output as the lane's
-// nodes — exactly what StepDetect+StepTrack would have produced — and
-// seeds the history windows that depend on built-in properties.
-func (m *MuxStream) bindLane(l *muxLane) {
-	st := l.group.tracks[l.sig.Class]
-	m.bindLaneDets(l, st.dets, st.ids)
-}
-
-// bindLaneDets binds an explicit detection/id pair as the lane's nodes —
-// the shared tracker's output on the live path, an archived frame's
-// output on the backfill path.
-func (m *MuxStream) bindLaneDets(l *muxLane, dets []track.Detection, ids []int) {
-	for i := range dets {
-		d := &dets[i]
-		node := l.fc.NewNode(l.sig.Instance)
-		truthID, _ := d.Ref.(int)
-		node.TrackID = ids[i]
-		node.TruthID = truthID
-		node.Class = classOf(d.Class)
-		node.ClassName = node.Class.String()
-		node.Box = d.Box
-		node.Score = d.Score
-	}
-	seedBuiltinWindows(l.fc, l.rs, l.specs, l.sig.Instance)
-}
-
 // Feed processes one frame for every lane and returns the per-lane
 // verdicts, aligned with the current attach order (Verdict.Lane carries
 // the lane id, stable across attach/detach churn). Frames must arrive
@@ -732,7 +705,7 @@ func (m *MuxStream) Feed(f *video.Frame) ([]Verdict, error) {
 	// ids would not match a tracker carrying state across the wrap, and
 	// persisting cross-wrap ids would poison later from-zero passes.
 	if f.Index <= m.lastFed {
-		m.wrapped = true
+		m.archiveOff = true
 	}
 	m.lastFed = f.Index
 	clock := m.e.opts.Env.Clock
@@ -749,38 +722,18 @@ func (m *MuxStream) Feed(f *video.Frame) ([]Verdict, error) {
 	verdicts := make([]Verdict, len(m.lanes))
 	for i, l := range m.lanes {
 		before := clock.TotalMS()
-		if l.fc == nil {
-			l.fc = newFrameCtx(f)
-		} else {
-			l.fc.reset(f)
-		}
-		l.fc.shareRaster(cell)
-		if l.group != nil {
+		var scan *scanOut
+		if g := l.group; g != nil {
 			// The scan ran once for the whole group; each member carries
 			// an equal share of this frame's cost, so per-query totals
 			// sum to the work actually done however membership churns.
-			l.sharedMS += l.group.frameMS / float64(l.group.members)
-			if l.group.degradedBy != "" {
-				l.fc.degrade(l.group.degradedBy)
-			}
-			if l.group.dropped {
-				l.fc.Dropped = true
-			} else {
-				m.bindLane(l)
-			}
+			l.sharedMS += g.frameMS / float64(g.members)
+			st := g.tracks[l.sig.Class]
+			scan = &scanOut{dropped: g.dropped, degradedBy: g.degradedBy, dets: st.dets, ids: st.ids}
 		}
-		hitsBefore := len(l.res.Hits)
-		matched, err := m.runLaneFrame(l)
+		v, err := m.e.step(l, f, cell, scan)
 		if err != nil {
 			return nil, err
-		}
-		v := Verdict{FrameIdx: f.Index, Lane: l.id, Matched: matched}
-		if l.fc.Degraded {
-			v.Degraded = true
-			v.DegradedBy = l.fc.DegradedBy
-		}
-		if len(l.res.Hits) > hitsBefore {
-			v.Hit = &l.res.Hits[len(l.res.Hits)-1]
 		}
 		verdicts[i] = v
 		l.virtualMS += clock.TotalMS() - before
@@ -789,51 +742,75 @@ func (m *MuxStream) Feed(f *video.Frame) ([]Verdict, error) {
 	return verdicts, nil
 }
 
-// runLaneFrame executes the lane's operators over its prepared frame
-// context and folds the outcome into the lane's accumulated result —
-// the per-frame step shared by Feed and the backfill replay, which is
-// what makes a backfilled frame indistinguishable from a live one.
-func (m *MuxStream) runLaneFrame(l *muxLane) (bool, error) {
-	if err := m.e.runFrame(l.runPlan, l.fc, l.rs, l.filters, l.specs); err != nil {
-		return false, err
-	}
-	matched := m.e.finalize(l.fc, l.rs, l.insts, l.relBinds,
-		l.frameCons, l.videoCons, l.outputSels, l.res)
-	l.res.Matched = append(l.res.Matched, matched)
-	l.res.FramesProcessed++
-	if matched {
-		l.matched++
-	}
-	if l.fc.Degraded {
-		l.degraded++
-		l.res.DegradedFrames++
-		l.res.DegradedAt = append(l.res.DegradedAt, len(l.res.Matched)-1)
-	}
-	return matched, nil
+// feedFrame implements frameSink.
+func (m *MuxStream) feedFrame(f *video.Frame) error {
+	_, err := m.Feed(f)
+	return err
 }
 
-// finalizeLane completes a lane's aggregation: the video-level count /
-// track listing, the virtual cost (private work plus the lane's
-// accumulated share of its group's scans) and memo statistics.
-func (m *MuxStream) finalizeLane(l *muxLane) {
-	if l.finalized {
-		return
+// FeedRange pulls frames from, from+stride, … below to out of src and
+// feeds each in turn: the offline way to drive a stream whose source is
+// at hand. The source is also bound for store catch-up replays when no
+// BindStore / BindSource named one.
+func (m *MuxStream) FeedRange(src video.FrameSource, from, to, stride int) error {
+	m.mu.Lock()
+	if m.src == nil {
+		m.src = src
 	}
-	l.finalized = true
-	if agg := l.plan.Query.VideoOutput(); agg != nil {
-		tracksOf := l.rs.matchedTracks[agg.Instance]
-		ids := make([]int, 0, len(tracksOf))
-		for id := range tracksOf {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		l.res.Count = len(ids)
-		if agg.Kind == core.AggListTracks {
-			l.res.TrackIDs = ids
-		}
+	m.mu.Unlock()
+	return m.e.feed(m, src, from, to, stride)
+}
+
+// replaySolo runs an archived pass over the only lane of a freshly
+// opened one-plan stream — the first half of the offline index-verify
+// and fidelity drivers, whose second half feeds the frames the archive
+// does not cover. src is bound for catch-up replays.
+func (m *MuxStream) replaySolo(src video.FrameSource, r replay) (served, live int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.src == nil {
+		m.src = src
 	}
-	l.res.VirtualMS = l.virtualMS + l.sharedMS
-	l.res.MemoHits, l.res.MemoMisses = l.rs.memo.Stats()
+	if m.store == nil {
+		return 0, 0, fmt.Errorf("exec: archived replay requires a bound store (Options.Store)")
+	}
+	return m.replayLane(m.lanes[0], r)
+}
+
+// resumeAfter prepares the live operators to continue at frame covered
+// after an archived pass that skipped them: every archived non-dropped
+// frame of [0, covered) — what a from-zero tracker would have consumed —
+// queues for tracker catch-up, so a later frame that misses the archive
+// and needs live tracking first restores exactly the from-zero state
+// (replayPending). The filter chains likewise catch up from frame zero
+// if they ever run live (stateless chains skip it).
+func (m *MuxStream) resumeAfter(covered int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, g := range m.groups {
+		for f := 0; f < covered; f++ {
+			a, miss := m.archivedScan(g.key, g.detect, f, false)
+			if miss != nil {
+				return fmt.Errorf("exec: frame %d of scan group %q inside index coverage: %w", f, g.key, miss)
+			}
+			if a.rec.Dropped {
+				continue
+			}
+			for _, cls := range g.classes {
+				g.tracks[cls].pending = append(g.tracks[cls].pending, f)
+			}
+		}
+		g.filterPos = 0
+	}
+	return nil
+}
+
+// sealArchive puts the scan archive off limits for the frames still to
+// be fed (see archiveOff).
+func (m *MuxStream) sealArchive() {
+	m.mu.Lock()
+	m.archiveOff = true
+	m.mu.Unlock()
 }
 
 // Snapshot returns a copy of a live lane's accumulated result so far —
@@ -850,20 +827,7 @@ func (m *MuxStream) Snapshot(id int) (*Result, error) {
 	res := *l.res
 	res.Matched = append([]bool(nil), l.res.Matched...)
 	res.Hits = append([]FrameHit(nil), l.res.Hits...)
-	if agg := l.plan.Query.VideoOutput(); agg != nil {
-		tracksOf := l.rs.matchedTracks[agg.Instance]
-		ids := make([]int, 0, len(tracksOf))
-		for id := range tracksOf {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		res.Count = len(ids)
-		if agg.Kind == core.AggListTracks {
-			res.TrackIDs = ids
-		}
-	}
-	res.VirtualMS = l.virtualMS + l.sharedMS
-	res.MemoHits, res.MemoMisses = l.rs.memo.Stats()
+	l.aggregate(&res)
 	return &res, nil
 }
 
@@ -876,16 +840,16 @@ func (m *MuxStream) Snapshot(id int) (*Result, error) {
 func (m *MuxStream) Close() []*Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	out := make([]*Result, len(m.lanes))
+	for i, l := range m.lanes {
+		out[i] = l.res
+	}
 	if !m.closed {
 		m.closed = true
 		m.e.opts.Env.Clock.FlushFrames()
 		for _, l := range m.lanes {
-			m.finalizeLane(l)
+			l.aggregate(l.res)
 		}
-	}
-	out := make([]*Result, len(m.lanes))
-	for i, l := range m.lanes {
-		out[i] = l.res
 	}
 	return out
 }
@@ -898,18 +862,8 @@ func (e *Executor) RunMux(plans []*Plan, src video.FrameSource) ([]*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if m.src == nil {
-		// The offline driver knows the stream's source; hand it to the
-		// mux so store catch-up replays can reach real frames.
-		m.src = src
-	}
-	m.mu.Unlock()
-	n := src.NumFrames()
-	for i := 0; i < n; i++ {
-		if _, err := m.Feed(src.FrameAt(i)); err != nil {
-			return nil, err
-		}
+	if err := m.FeedRange(src, 0, src.NumFrames(), 1); err != nil {
+		return nil, err
 	}
 	return m.Close(), nil
 }

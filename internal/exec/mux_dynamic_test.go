@@ -58,7 +58,7 @@ func TestMuxAttachDetachLifecycle(t *testing.T) {
 	d, err := m.Attach(&Plan{Query: pq, Steps: []Step{
 		{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "p", Class: video.ClassPerson}}},
 		{Kind: StepTrack, Instance: "p"},
-	}, BatchSize: 4, Label: "manual"})
+	}, Label: "manual"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMuxChurnDoesNotPerturbSiblings(t *testing.T) {
 			pp := &Plan{Query: pq, Steps: []Step{
 				{Kind: StepDetect, DetectModel: "yolox", Binds: []InstanceBind{{Instance: "p", Class: video.ClassPerson}}},
 				{Kind: StepTrack, Instance: "p"},
-			}, BatchSize: 4, Label: "manual"}
+			}, Label: "manual"}
 			if peds, err = m.Attach(pp); err != nil {
 				t.Fatal(err)
 			}

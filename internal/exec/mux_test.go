@@ -6,59 +6,191 @@ import (
 	"testing"
 
 	"vqpy/internal/models"
+	"vqpy/internal/store"
 	"vqpy/internal/video"
 )
 
+// perQueryReference runs every plan on its own Stream, one after the
+// other, sharing one cache — the reference every other execution
+// strategy must reproduce.
+func perQueryReference(t *testing.T, plans []*Plan, v *video.Video) ([]*Result, *models.Env) {
+	t.Helper()
+	env := testEnv()
+	ex, err := NewExecutor(Options{Env: env, Registry: models.BuiltinRegistry(), Cache: NewSharedCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, len(plans))
+	for i, p := range plans {
+		if results[i], err = ex.Run(p, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return results, env
+}
+
+// storeExecutor returns an executor on a fresh environment bound to st
+// under the video's source name.
+func storeExecutor(t *testing.T, st *store.Store, v *video.Video) *Executor {
+	t.Helper()
+	ex, err := NewExecutor(Options{
+		Env: testEnv(), Registry: models.BuiltinRegistry(), Cache: NewSharedCache(),
+		Store: st, StoreSource: v.SourceName(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
 // TestMuxMatchesPerQuery is the shared-scan correctness contract: the
 // MuxStream's per-query results must be identical to running every plan
-// sequentially on its own stream.
+// sequentially on its own stream — however the lanes come by their
+// frames: fed live, backfilled from the archive mid-stream, or replayed
+// from it by the index-verify and fidelity drivers.
 func TestMuxMatchesPerQuery(t *testing.T) {
 	v := video.CityFlow(42, 40).Generate()
+	n := len(v.Frames)
+	ref, refEnv := perQueryReference(t, poolPlans(t, 8), v)
 
-	seqPlans := poolPlans(t, 8)
-	seq, seqEnv := runAllWith(t, seqPlans, v, 1)
-
-	muxPlans := poolPlans(t, 8)
-	muxEnv := testEnv()
-	ex, err := NewExecutor(Options{Env: muxEnv, Registry: models.BuiltinRegistry(), Cache: NewSharedCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux, err := ex.RunMux(muxPlans, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(seq) != len(mux) {
-		t.Fatalf("%d vs %d results", len(seq), len(mux))
-	}
-	for i := range seq {
-		if !reflect.DeepEqual(seq[i].Matched, mux[i].Matched) {
-			t.Errorf("query %d: matched vectors differ", i)
+	// archive returns a store holding the full-fidelity scan of v under
+	// the plans' (single) scan group.
+	archive := func(t *testing.T) *store.Store {
+		t.Helper()
+		st, err := store.Open(t.TempDir(), store.Meta{Seed: 42}, store.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq[i].Hits, mux[i].Hits) {
-			t.Errorf("query %d: hits differ", i)
+		t.Cleanup(func() { st.Close() })
+		if _, err := storeExecutor(t, st, v).RunMux(poolPlans(t, 1), v); err != nil {
+			t.Fatal(err)
 		}
-		if seq[i].Count != mux[i].Count || !reflect.DeepEqual(seq[i].TrackIDs, mux[i].TrackIDs) {
-			t.Errorf("query %d: aggregation differs", i)
-		}
-		if seq[i].MemoHits != mux[i].MemoHits || seq[i].MemoMisses != mux[i].MemoMisses {
-			t.Errorf("query %d: memo stats differ (%d/%d vs %d/%d)", i,
-				seq[i].MemoHits, seq[i].MemoMisses, mux[i].MemoHits, mux[i].MemoMisses)
-		}
+		return st
 	}
 
-	// The shared scan runs detect and track once per frame for the whole
-	// 8-query group; the per-query path tracks once per query per frame.
-	frames := int64(len(v.Frames))
-	if got := muxEnv.Clock.Invocations("yolox"); got != frames {
-		t.Errorf("mux detector invocations = %d, want %d", got, frames)
+	cases := []struct {
+		name string
+		run  func(t *testing.T, plans []*Plan) []*Result
+	}{
+		{"live", func(t *testing.T, plans []*Plan) []*Result {
+			env := testEnv()
+			ex, err := NewExecutor(Options{Env: env, Registry: models.BuiltinRegistry(), Cache: NewSharedCache()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ex.RunMux(plans, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The shared scan runs detect and track once per frame for the
+			// whole 8-query group; the per-query path tracks once per query
+			// per frame.
+			frames := int64(n)
+			if got := env.Clock.Invocations("yolox"); got != frames {
+				t.Errorf("mux detector invocations = %d, want %d", got, frames)
+			}
+			if got := env.Clock.Invocations("tracker"); got != frames {
+				t.Errorf("mux tracker invocations = %d, want %d", got, frames)
+			}
+			if got := refEnv.Clock.Invocations("tracker"); got != 8*frames {
+				t.Errorf("sequential tracker invocations = %d, want %d", got, 8*frames)
+			}
+			return res
+		}},
+		{"backfill at frame k", func(t *testing.T, plans []*Plan) []*Result {
+			const k = 17
+			st, err := store.Open(t.TempDir(), store.Meta{Seed: 42}, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			m, err := storeExecutor(t, st, v).OpenMux(plans[:1], v.FPS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.BindStore(st, v)
+			if err := m.FeedRange(v, 0, k, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans[1:] {
+				if _, err := m.AttachBackfill(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.FeedRange(v, k, n, 1); err != nil {
+				t.Fatal(err)
+			}
+			return m.Close()
+		}},
+		{"index verify, every frame a candidate", func(t *testing.T, plans []*Plan) []*Result {
+			st := archive(t)
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			res := make([]*Result, len(plans))
+			for i, p := range plans {
+				var err error
+				if res[i], err = storeExecutor(t, st, v).RunIndexVerify(p, v, all, n, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return res
+		}},
+		{"index verify, half covered", func(t *testing.T, plans []*Plan) []*Result {
+			st := archive(t)
+			half := make([]int, n/2)
+			for i := range half {
+				half[i] = i
+			}
+			res := make([]*Result, len(plans))
+			for i, p := range plans {
+				var err error
+				if res[i], err = storeExecutor(t, st, v).RunIndexVerify(p, v, half, n/2, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return res
+		}},
+		{"fidelity replay, stride 1", func(t *testing.T, plans []*Plan) []*Result {
+			st := archive(t)
+			res := make([]*Result, len(plans))
+			for i, p := range plans {
+				sig := ScanPrefixOf(p)
+				r, stats, err := storeExecutor(t, st, v).RunFidelityReplay(p, v, sig.Key(), sig.Detect, 1, n, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.ReplayedFrames != n || stats.DegradedFrames != 0 || stats.ResidualFrames != 0 {
+					t.Errorf("query %d: replay stats = %+v, want %d archive-served frames", i, stats, n)
+				}
+				res[i] = r
+			}
+			return res
+		}},
 	}
-	if got := muxEnv.Clock.Invocations("tracker"); got != frames {
-		t.Errorf("mux tracker invocations = %d, want %d", got, frames)
-	}
-	if got := seqEnv.Clock.Invocations("tracker"); got != 8*frames {
-		t.Errorf("sequential tracker invocations = %d, want %d", got, 8*frames)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.run(t, poolPlans(t, 8))
+			if len(got) != len(ref) {
+				t.Fatalf("%d vs %d results", len(ref), len(got))
+			}
+			for i := range ref {
+				if !reflect.DeepEqual(ref[i].Matched, got[i].Matched) {
+					t.Errorf("query %d: matched vectors differ", i)
+				}
+				if !reflect.DeepEqual(ref[i].Hits, got[i].Hits) {
+					t.Errorf("query %d: hits differ", i)
+				}
+				if ref[i].Count != got[i].Count || !reflect.DeepEqual(ref[i].TrackIDs, got[i].TrackIDs) {
+					t.Errorf("query %d: aggregation differs", i)
+				}
+				if ref[i].MemoHits != got[i].MemoHits || ref[i].MemoMisses != got[i].MemoMisses {
+					t.Errorf("query %d: memo stats differ (%d/%d vs %d/%d)", i,
+						ref[i].MemoHits, ref[i].MemoMisses, got[i].MemoHits, got[i].MemoMisses)
+				}
+			}
+		})
 	}
 }
 

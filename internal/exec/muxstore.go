@@ -18,6 +18,7 @@ package exec
 // them.
 
 import (
+	"errors"
 	"fmt"
 
 	"vqpy/internal/store"
@@ -25,46 +26,115 @@ import (
 	"vqpy/internal/video"
 )
 
+// Why the archive could not serve a frame. Sentinels, not formatted
+// errors: the live path asks on every frame and a cold store misses on
+// every one.
+var (
+	errNoScanRecord     = errors.New("no archived scan record")
+	errDetectorMismatch = errors.New("the archived scan used a different detector")
+	errNoDetections     = errors.New("no archived detections")
+	errNoTrackIDs       = errors.New("no archived from-zero track ids")
+)
+
+// archivedFrame is what a scan prefix produced on one frame, as the
+// store archived it: the scan record (filter verdict, per-class
+// from-zero track ids) and the detector's raw output for every class.
+// Both are the store's shared values and must not be mutated.
+type archivedFrame struct {
+	rec  *store.ScanRecord
+	dets []store.Detection // nil when rec.Dropped or not asked for
+}
+
+// archivedScan answers "what did the scan prefix produce on frame f
+// under (scanKey, detect)" — the one place the engine reads a scan
+// record. A non-nil miss says why the archive cannot serve the frame:
+// no record, a record written by another detector (the invalidation
+// rule: its ids belong to that detector's boxes), or — when the frame
+// was kept and wantDets is set — no detection record to go with it.
+// The record stays pinned in the hot tier while it is read.
+func (m *MuxStream) archivedScan(scanKey, detect string, f int, wantDets bool) (a archivedFrame, miss error) {
+	rec, release, ok := m.store.GetScanRef(m.source, scanKey, f)
+	if !ok {
+		return a, errNoScanRecord
+	}
+	defer release()
+	if rec.Detect != detect {
+		return a, errDetectorMismatch
+	}
+	a.rec = rec
+	if wantDets && !rec.Dropped {
+		if a.dets, ok = m.store.GetDets(m.source, detect, f); !ok {
+			return a, errNoDetections
+		}
+	}
+	return a, nil
+}
+
+// classDets appends the detections of class cls to buf[:0] in live
+// form, Ref restored exactly as detectFrame produces it.
+func classDets(sdets []store.Detection, cls video.Class, buf []track.Detection) []track.Detection {
+	buf = buf[:0]
+	for i := range sdets {
+		if classOf(sdets[i].Class) == cls {
+			buf = append(buf, track.Detection{
+				Box: sdets[i].Box, Class: sdets[i].Class, Score: sdets[i].Score, Ref: sdets[i].TruthID,
+			})
+		}
+	}
+	return buf
+}
+
+// class slices one class out of a kept frame: its detections (appended
+// to buf[:0]) and their archived from-zero track ids. have is false
+// when the archive holds no ids for the class or not one per detection
+// — a class never tracked under this signature, or tracked from a cold
+// mid-stream start (persistScan archives those id-less).
+func (a archivedFrame) class(cls video.Class, buf []track.Detection) (dets []track.Detection, ids []int, have bool) {
+	dets = classDets(a.dets, cls, buf)
+	ids, have = a.rec.IDs[int(cls)]
+	return dets, ids, have && len(ids) == len(dets)
+}
+
+// withIDs returns a private copy of rec with one class's reconstructed
+// from-zero ids merged in, ready to be re-persisted (rec itself is the
+// store's shared value).
+func withIDs(rec *store.ScanRecord, cls video.Class, ids []int) *store.ScanRecord {
+	updated := &store.ScanRecord{
+		Source: rec.Source, ScanKey: rec.ScanKey, Detect: rec.Detect,
+		Frame: rec.Frame, IDs: make(map[int][]int, len(rec.IDs)+1),
+	}
+	for k, v := range rec.IDs {
+		updated.IDs[k] = v
+	}
+	updated.IDs[int(cls)] = append([]int(nil), ids...)
+	return updated
+}
+
 // scanGroupFromStore tries to serve one group's frame entirely from the
 // store: the archived dropped verdict, detections and per-class track
 // ids, at zero model cost. It returns served=false — leaving all state
-// untouched — when the store has no usable record (missing frame,
-// missing detections, or a detector mismatch, the invalidation rule).
+// untouched — when the archive cannot serve the frame (archivedScan).
 // Classes the archive does not cover are tracked live, after catching
 // the tracker up, and the merged ids are persisted for the next pass.
 func (m *MuxStream) scanGroupFromStore(g *muxGroup, f *video.Frame) (bool, error) {
 	if m.source == "" {
 		return false, nil
 	}
-	rec, release, ok := m.store.GetScanRef(m.source, g.key, f.Index)
-	if !ok {
+	a, miss := m.archivedScan(g.key, g.detect, f.Index, true)
+	if miss != nil {
 		return false, nil
 	}
-	defer release()
-	if rec.Detect != g.detect {
-		return false, nil
-	}
-	if rec.Dropped {
-		g.dropped = true
+	g.dropped = a.rec.Dropped
+	if g.dropped {
 		return true, nil
 	}
-	sdets, ok := m.store.GetDets(m.source, g.detect, f.Index)
-	if !ok {
-		return false, nil
-	}
-	dets := trackDetsOf(sdets)
-	g.dropped = false
-	var updated *store.ScanRecord
+	updated := a.rec
 	for _, cls := range g.classes {
 		st := g.tracks[cls]
-		st.dets = st.dets[:0]
-		for i := range dets {
-			if classOf(dets[i].Class) == cls {
-				st.dets = append(st.dets, dets[i])
-			}
-		}
-		ids, have := rec.IDs[int(cls)]
-		if have && len(ids) == len(st.dets) && st.bornAt == 0 {
+		var ids []int
+		var have bool
+		st.dets, ids, have = a.class(cls, st.dets)
+		if have && st.bornAt == 0 {
 			// Archived ids are from-zero by the persist rule below; they
 			// may only be applied to a tracker with the same semantics —
 			// a class cold-started mid-stream keeps its live numbering.
@@ -80,21 +150,11 @@ func (m *MuxStream) scanGroupFromStore(g *muxGroup, f *video.Frame) (bool, error
 			return false, err
 		}
 		m.liveTrackUpdate(st)
-		if st.bornAt != 0 {
-			continue
+		if st.bornAt == 0 {
+			updated = withIDs(updated, cls, st.ids)
 		}
-		if updated == nil {
-			updated = &store.ScanRecord{
-				Source: rec.Source, ScanKey: rec.ScanKey, Detect: rec.Detect,
-				Frame: rec.Frame, IDs: make(map[int][]int, len(rec.IDs)+1),
-			}
-			for k, v := range rec.IDs {
-				updated.IDs[k] = v
-			}
-		}
-		updated.IDs[int(cls)] = append([]int(nil), st.ids...)
 	}
-	if updated != nil {
+	if updated != a.rec {
 		if err := m.store.PutScan(updated); err != nil {
 			return false, err
 		}
@@ -108,10 +168,10 @@ func (m *MuxStream) scanGroupFromStore(g *muxGroup, f *video.Frame) (bool, error
 // cold-started mid-stream numbers its tracks relative to its attach
 // frame, which no other pass could reproduce — its frames are archived
 // id-less and re-tracked (then merged) by the next from-zero pass.
-// No-op without a bound store, and after a looping stream wraps (a
+// No-op without a bound store, and once the archive is off limits (a
 // cross-wrap tracker's state has no from-zero meaning either).
 func (m *MuxStream) persistScan(g *muxGroup, f *video.Frame) error {
-	if m.store == nil || m.source == "" || m.wrapped {
+	if m.store == nil || m.source == "" || m.archiveOff {
 		return nil
 	}
 	rec := &store.ScanRecord{
@@ -164,246 +224,213 @@ func (m *MuxStream) catchUpFilters(g *muxGroup, frameIdx int) error {
 	return nil
 }
 
-// replayFrames catches a tracker up over archived frames: for each frame
-// index, the class-filtered archived detections are fed through one
-// charged tracker update — real tracker work, paid once, exactly as a
-// continuous run would have paid it.
-func (m *MuxStream) replayFrames(g *muxGroup, cls video.Class, tk *track.Tracker, frames []int) error {
+// replayPending flushes a shared tracker's catch-up backlog (frames the
+// store served while the tracker sat idle) before it runs live again:
+// for each pending frame, the class-filtered archived detections are fed
+// through one charged tracker update — real tracker work, paid once,
+// exactly as a continuous run would have paid it.
+func (m *MuxStream) replayPending(g *muxGroup, cls video.Class, st *sharedTrack) error {
 	var cdets, upBuf []track.Detection
 	var ids []int
-	for _, frame := range frames {
+	for _, frame := range st.pending {
 		sdets, ok := m.store.GetDets(m.source, g.detect, frame)
 		if !ok {
 			return fmt.Errorf("exec: store lacks archived detections for %s@%d needed by tracker catch-up", g.detect, frame)
 		}
-		cdets = cdets[:0]
-		for i := range sdets {
-			if classOf(sdets[i].Class) == cls {
-				cdets = append(cdets, track.Detection{
-					Box: sdets[i].Box, Class: sdets[i].Class, Score: sdets[i].Score, Ref: sdets[i].TruthID,
-				})
-			}
-		}
-		ids, upBuf = m.trackerUpdate(tk, cdets, ids, upBuf)
-	}
-	return nil
-}
-
-// replayPending flushes a shared tracker's catch-up backlog (frames the
-// store served while the tracker sat idle) before it runs live again.
-func (m *MuxStream) replayPending(g *muxGroup, cls video.Class, st *sharedTrack) error {
-	if len(st.pending) == 0 {
-		return nil
-	}
-	if err := m.replayFrames(g, cls, st.tracker, st.pending); err != nil {
-		return err
+		cdets = classDets(sdets, cls, cdets)
+		ids, upBuf = m.trackerUpdate(st.tracker, cdets, ids, upBuf)
 	}
 	st.pending = st.pending[:0]
 	return nil
 }
 
-// AttachBackfill admits a plan like Attach and then replays it over
-// every frame the stream already scanned, reading the archived per-frame
-// scan output from the bound store — so the lane's result is
-// bit-identical to having been attached at frame zero (the crosscheck
-// against a fresh OpenShared of the same set is a test invariant).
-// Historical detector, filter and tracker outputs are applied, not
-// recomputed; only the lane's residual operators (properties behind the
-// label store, predicates, aggregation) run, in frame order, exactly as
-// Feed would have run them.
-//
-// Requirements: a store and frame source are bound (BindStore), the
-// stream has not wrapped a looping source, the store covers every
-// already-scanned frame of the plan's scan group, and the group's class
-// tracker — when it predates this attach — has from-zero semantics
-// (bornAt 0), since a tracker cold-started mid-stream assigns ids a
-// from-zero replay could not match. On any failure the attach is rolled
-// back and the stream is left exactly as it was.
-func (m *MuxStream) AttachBackfill(p *Plan) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, fmt.Errorf("exec: AttachBackfill on closed mux stream")
-	}
-	if m.store == nil || m.src == nil {
-		return 0, fmt.Errorf("exec: AttachBackfill requires a bound store and frame source (MuxStream.BindStore)")
-	}
-	n := m.framesFed
-	if m.wrapped || n > m.src.NumFrames() {
-		return 0, fmt.Errorf("exec: AttachBackfill after the stream wrapped its %d-frame source (%d frames fed): history is ambiguous", m.src.NumFrames(), n)
-	}
-	// Fail fast, before any lane state exists, when the archive cannot
-	// possibly cover the replay (backfillLane still verifies per frame).
-	if sig := ScanPrefixOf(p); sig.Shareable && n > 0 && !m.store.CoversScans(m.source, sig.Key(), n) {
-		return 0, fmt.Errorf("exec: store does not cover the %d already-scanned frames of scan group %q; cannot backfill", n, sig.Key())
-	}
-	l, err := m.attachLocked(p)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		l.backfilled = true
-		return l.id, nil
-	}
-	if err := m.backfillLane(l, n); err != nil {
-		m.detachLocked(l)
-		return 0, err
-	}
-	return l.id, nil
+// replay describes one archived pass of a lane. Backfill, index-candidate
+// verification and fidelity replay are this one loop (replayLane); the
+// fields are everything that genuinely differs between them (DESIGN.md
+// §5.4 tabulates the three beside the live and store-served rows).
+type replay struct {
+	// Which frames: every stride-th frame of [0, n), or — stride 0 — the
+	// candidates (strictly ascending, all below n).
+	n, stride  int
+	candidates []int
+	// Which archive: the lane's own scan group's for backfill and index
+	// verification, a fidelity tier's — another detector's records under
+	// a fidelity-decorated key — for fidelity replay.
+	scanKey, detect string
+	// tracker, when set, is brought to from-zero state over the replayed
+	// frames (backfill: the stream goes on live afterwards): frames with
+	// archived ids queue for its catch-up, frames without are re-tracked
+	// on it and the ids merged back into the archive. When nil, a frame
+	// archived without ids for the lane's class counts as a miss.
+	tracker *sharedTrack
+	// liveOnMiss answers a frame the archive cannot serve with one live
+	// invocation of the lane's own detector (fidelity replay: a faulted
+	// tier degrades to money, not accuracy). Otherwise a miss fails the
+	// replay.
+	liveOnMiss bool
+	// account / chargeMS is the per-archived-frame bookkeeping charge
+	// that keeps zero-model-cost work visible on the ledger; "" for none.
+	account  string
+	chargeMS float64
 }
 
-// backfillLane replays one freshly attached lane over frames [0, n).
-func (m *MuxStream) backfillLane(l *muxLane, n int) error {
+// replayLane runs one archived pass: each frame's scan output is read
+// back (replayScan) and pushed through the lane's ordinary per-frame
+// step, in frame order, so only the lane's residual operators run —
+// historical filter, detector and tracker outputs are applied, not
+// recomputed. A private lane has no scan prefix to read back: its
+// replay is from-zero execution of the whole plan, detector and label
+// lookups landing in the store. Reports how many frames the archive
+// served and how many fell back to a live detector call. Callers hold
+// m.mu.
+func (m *MuxStream) replayLane(l *lane, r replay) (served, live int, err error) {
 	clock := m.e.opts.Env.Clock
-	if l.group == nil {
-		// Non-shareable plans run whole inside their lane, so the replay
-		// is literally from-zero execution of the plan — with detector
-		// and label lookups landing in the store.
-		for f := 0; f < n; f++ {
-			before := clock.TotalMS()
-			if err := m.laneReplayFrame(l, m.src.FrameAt(f), false, nil, nil); err != nil {
-				return err
+	var buf []track.Detection
+	last := -1
+	for i := 0; ; i++ {
+		f := i * r.stride
+		if r.stride == 0 {
+			if i == len(r.candidates) {
+				break
 			}
-			l.virtualMS += clock.TotalMS() - before
+			if f = r.candidates[i]; f <= last {
+				return served, live, fmt.Errorf("exec: candidate frames must be strictly ascending (%d after %d)", f, last)
+			}
+			if last = f; f >= r.n {
+				return served, live, fmt.Errorf("exec: candidate frame %d is outside index coverage [0, %d)", f, r.n)
+			}
+		} else if f >= r.n {
+			break
 		}
-		l.backfilled = true
-		return nil
+		before := clock.TotalMS()
+		fr := m.src.FrameAt(f)
+		var scan *scanOut
+		archived := false
+		if l.group != nil {
+			var out scanOut
+			if out, archived, err = m.replayScan(l, r, fr, buf); err != nil {
+				return served, live, err
+			}
+			scan, buf = &out, out.dets
+		}
+		if _, err := m.e.step(l, fr, nil, scan); err != nil {
+			return served, live, err
+		}
+		switch {
+		case archived:
+			served++
+			if r.account != "" {
+				m.e.opts.Env.ChargeClockOnly(r.account, r.chargeMS)
+			}
+		case scan != nil:
+			live++
+		}
+		l.virtualMS += clock.TotalMS() - before
 	}
+	return served, live, nil
+}
 
+// replayScan resolves what lane l's scan prefix produced on one
+// replayed frame: from the archive r names when it can serve the frame
+// (archived true), from one live detector call when it cannot and r
+// allows that. buf is the caller's reusable detection buffer, handed
+// back as scan.dets.
+func (m *MuxStream) replayScan(l *lane, r replay, fr *video.Frame, buf []track.Detection) (scan scanOut, archived bool, err error) {
+	g, cls := l.group, l.sig.Class
+	a, miss := m.archivedScan(r.scanKey, r.detect, fr.Index, true)
+	if miss == nil && a.rec.Dropped {
+		return scanOut{dropped: true, dets: buf[:0]}, true, nil
+	}
+	if miss == nil {
+		dets, ids, have := a.class(cls, buf)
+		rt := r.tracker
+		switch {
+		case have && rt != nil:
+			rt.pending = append(rt.pending, fr.Index)
+		case have:
+		case rt != nil:
+			// Reconstruct from-zero ids on the replay's tracker and
+			// persist them for the next pass.
+			if err := m.replayPending(g, cls, rt); err != nil {
+				return scan, false, err
+			}
+			rt.dets = append(rt.dets[:0], dets...)
+			m.liveTrackUpdate(rt)
+			ids = rt.ids
+			if err := m.store.PutScan(withIDs(a.rec, cls, ids)); err != nil {
+				return scan, false, err
+			}
+		default:
+			miss = errNoTrackIDs
+		}
+		if miss == nil {
+			return scanOut{dets: dets, ids: ids}, true, nil
+		}
+		buf = dets
+	}
+	if !r.liveOnMiss {
+		return scan, false, fmt.Errorf("exec: cannot replay %q: frame %d of scan group %q (detector %s): %w",
+			l.plan.Label, fr.Index, r.scanKey, r.detect, miss)
+	}
+	// The archive cannot serve the frame (never written, evicted, or
+	// failed by an injected read fault): the query's own detector runs
+	// at full cost — a faulted tier degrades to money, not accuracy —
+	// and its output binds with replay-local ids (no tracker state
+	// exists to consult mid-replay).
+	det, err := m.e.opts.Registry.Detector(g.detect)
+	if err != nil {
+		return scan, false, err
+	}
+	buf = buf[:0]
+	for _, d := range det.Detect(m.e.opts.Env, fr) {
+		if d.Class == cls {
+			buf = append(buf, track.Detection{Box: d.Box, Class: int(d.Class), Score: d.Score, Ref: d.TruthID})
+		}
+	}
+	ids := make([]int, len(buf))
+	for i := range ids {
+		ids[i] = -1
+	}
+	return scanOut{dets: buf, ids: ids}, false, nil
+}
+
+// backfill replays one freshly attached lane over frames [0, n) from
+// its own scan group's archive, leaving the group's live operators in
+// the from-zero state the frames ahead need.
+func (m *MuxStream) backfill(l *lane, n int) error {
+	r := replay{n: n, stride: 1}
 	g := l.group
-	st := g.tracks[l.sig.Class]
-	fresh := st.refs == 1 // attachLocked just incremented; 1 means it created the tracker
-	if !fresh && st.bornAt != 0 {
-		return fmt.Errorf("exec: cannot backfill: class %s tracker in scan group %q was cold-started at frame %d; its live ids cannot match a from-zero history",
-			l.sig.Class, g.key, st.bornAt)
-	}
-	// A pre-existing tracker's state must not be perturbed, so id
-	// reconstruction for frames the archive did not cover uses a
-	// throwaway replay tracker; a tracker created by this attach is
-	// caught up in place (st.pending), giving it from-zero state for
-	// the live frames ahead.
-	var replayTk *track.Tracker
-	var replayPending []int
-	if !fresh {
-		replayTk = track.NewTracker(track.DefaultConfig())
-	}
-
-	var cdets, upBuf []track.Detection
-	var scratchIDs []int
-	for f := 0; f < n; f++ {
-		rec, release, ok := m.store.GetScanRef(m.source, g.key, f)
-		if !ok {
-			return fmt.Errorf("exec: store does not cover frame %d of scan group %q; cannot backfill", f, g.key)
-		}
-		err := func() error {
-			defer release()
-			if rec.Detect != g.detect {
-				return fmt.Errorf("exec: archived scan of %q used detector %q but the plan chose %q; cannot backfill", g.key, rec.Detect, g.detect)
+	var st *sharedTrack
+	if g != nil {
+		r.scanKey, r.detect = g.key, g.detect
+		st = g.tracks[l.sig.Class]
+		// A tracker created by this attach (attachLocked just made the
+		// lane its first user) is caught up in place, giving it from-zero
+		// state for the live frames ahead. A pre-existing tracker's state
+		// must not be perturbed, so id reconstruction for frames the
+		// archive did not cover uses a throwaway replay tracker.
+		r.tracker = st
+		if st.refs > 1 {
+			if st.bornAt != 0 {
+				return fmt.Errorf("exec: cannot backfill: class %s tracker in scan group %q was cold-started at frame %d; its live ids cannot match a from-zero history",
+					l.sig.Class, g.key, st.bornAt)
 			}
-			before := clock.TotalMS()
-			fr := m.src.FrameAt(f)
-			if rec.Dropped {
-				if err := m.laneReplayFrame(l, fr, true, nil, nil); err != nil {
-					return err
-				}
-				l.virtualMS += clock.TotalMS() - before
-				return nil
-			}
-			sdets, ok := m.store.GetDets(m.source, g.detect, f)
-			if !ok {
-				return fmt.Errorf("exec: store lacks archived detections for %s@%d; cannot backfill", g.detect, f)
-			}
-			cdets = cdets[:0]
-			for i := range sdets {
-				if classOf(sdets[i].Class) == l.sig.Class {
-					cdets = append(cdets, track.Detection{
-						Box: sdets[i].Box, Class: sdets[i].Class, Score: sdets[i].Score, Ref: sdets[i].TruthID,
-					})
-				}
-			}
-			var ids []int
-			if recIDs, have := rec.IDs[int(l.sig.Class)]; have && len(recIDs) == len(cdets) {
-				ids = recIDs
-				if fresh {
-					st.pending = append(st.pending, f)
-				} else {
-					replayPending = append(replayPending, f)
-				}
-			} else if fresh {
-				// Reconstruct from-zero ids with the lane's own shared
-				// tracker and persist them for the next pass.
-				if err := m.replayPending(g, l.sig.Class, st); err != nil {
-					return err
-				}
-				st.dets = append(st.dets[:0], cdets...)
-				m.liveTrackUpdate(st)
-				ids = st.ids
-				if err := m.persistMergedIDs(rec, l.sig.Class, ids); err != nil {
-					return err
-				}
-			} else {
-				if err := m.replayFrames(g, l.sig.Class, replayTk, replayPending); err != nil {
-					return err
-				}
-				replayPending = replayPending[:0]
-				scratchIDs, upBuf = m.trackerUpdate(replayTk, cdets, scratchIDs, upBuf)
-				ids = scratchIDs
-				if err := m.persistMergedIDs(rec, l.sig.Class, ids); err != nil {
-					return err
-				}
-			}
-			if err := m.laneReplayFrame(l, fr, false, cdets, ids); err != nil {
-				return err
-			}
-			l.virtualMS += clock.TotalMS() - before
-			return nil
-		}()
-		if err != nil {
-			return err
+			r.tracker = &sharedTrack{tracker: track.NewTracker(track.DefaultConfig())}
 		}
 	}
-	if fresh {
-		st.bornAt = 0
+	if _, _, err := m.replayLane(l, r); err != nil {
+		return err
 	}
-	if g.members == 1 && g.filterPos == -1 {
-		// The group was created by this attach: its (cold) filter chain
-		// is allowed to catch up from frame zero if it ever runs live.
-		g.filterPos = 0
+	if g != nil {
+		if r.tracker == st {
+			st.bornAt = 0
+		}
+		if g.members == 1 && g.filterPos == -1 {
+			// The group was created by this attach: its (cold) filter chain
+			// is allowed to catch up from frame zero if it ever runs live.
+			g.filterPos = 0
+		}
 	}
 	l.backfilled = true
 	return nil
-}
-
-// persistMergedIDs re-persists an archived scan record with one class's
-// reconstructed ids merged in.
-func (m *MuxStream) persistMergedIDs(rec *store.ScanRecord, cls video.Class, ids []int) error {
-	updated := &store.ScanRecord{
-		Source: rec.Source, ScanKey: rec.ScanKey, Detect: rec.Detect,
-		Frame: rec.Frame, IDs: make(map[int][]int, len(rec.IDs)+1),
-	}
-	for k, v := range rec.IDs {
-		updated.IDs[k] = v
-	}
-	updated.IDs[int(cls)] = append([]int(nil), ids...)
-	return m.store.PutScan(updated)
-}
-
-// laneReplayFrame runs one archived frame through a lane: prepare the
-// frame context, bind the archived scan output (for shareable lanes) and
-// execute the lane's operators — the backfill mirror of Feed's per-lane
-// section.
-func (m *MuxStream) laneReplayFrame(l *muxLane, fr *video.Frame, dropped bool, dets []track.Detection, ids []int) error {
-	if l.fc == nil {
-		l.fc = newFrameCtx(fr)
-	} else {
-		l.fc.reset(fr)
-	}
-	switch {
-	case dropped:
-		l.fc.Dropped = true
-	case l.group != nil:
-		m.bindLaneDets(l, dets, ids)
-	}
-	_, err := m.runLaneFrame(l)
-	return err
 }

@@ -1,10 +1,10 @@
 // Package exec implements the paper's backend execution engine (§4): the
-// VObj-centric graph data model, the six operator kinds implemented as
-// iterators over frame batches, sliding-window state for stateful
-// properties, the object-level computation reuse of §4.2 (intrinsic
-// property memoization keyed by Kalman-tracker identities, plus a
-// detection/classification cache for query-level reuse), and the event
-// combinators behind the higher-order queries.
+// VObj-centric graph data model, the six operator kinds applied frame by
+// frame, sliding-window state for stateful properties, the object-level
+// computation reuse of §4.2 (intrinsic property memoization keyed by
+// Kalman-tracker identities, plus a detection/classification cache for
+// query-level reuse), and the event combinators behind the higher-order
+// queries.
 //
 // The package defines the physical Plan representation; the planner
 // (internal/plan) builds and optimizes Plans, then hands them to an
@@ -150,12 +150,8 @@ type Plan struct {
 	// Query is the logical query the plan implements.
 	Query *core.Query
 
-	// Steps execute in order for every batch.
+	// Steps execute in order for every frame.
 	Steps []Step
-
-	// BatchSize is the number of frames per batch (user-defined per
-	// §4.1; default 8).
-	BatchSize int
 
 	// DisableMemo turns off intrinsic memoization (the "vanilla VQPy"
 	// configuration of §5.1).
@@ -188,7 +184,7 @@ type Plan struct {
 // String renders the whole plan, one step per line.
 func (p *Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s (query %s, batch %d", p.Label, p.Query.Name(), p.BatchSize)
+	fmt.Fprintf(&b, "plan %s (query %s", p.Label, p.Query.Name())
 	if p.DisableMemo {
 		b.WriteString(", memo off")
 	}
@@ -205,9 +201,6 @@ func (p *Plan) String() string {
 func (p *Plan) Validate() error {
 	if p.Query == nil {
 		return fmt.Errorf("exec: plan without query")
-	}
-	if p.BatchSize < 1 {
-		return fmt.Errorf("exec: batch size %d", p.BatchSize)
 	}
 	detected := map[string]bool{}
 	tracked := map[string]bool{}

@@ -167,7 +167,7 @@ func (k detKey) shard() int {
 // the simulated classifiers derive their noise from it — without it,
 // two overlapping objects whose boxes quantize identically would share
 // one cached label, and which object computed it first would depend on
-// scheduling, breaking RunAll's identical-to-sequential contract.
+// scheduling, breaking plan.RunAll's identical-to-sequential contract.
 type labelKey struct {
 	model          string
 	frame          int
@@ -232,40 +232,6 @@ func NewSharedCache() *SharedCache {
 	return c
 }
 
-// GetDetections returns cached detector output for a frame. The returned
-// slice is shared across callers and must not be mutated.
-func (c *SharedCache) GetDetections(model string, frame int) ([]track.Detection, bool) {
-	if c == nil {
-		return nil, false
-	}
-	k := detKey{model, frame}
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	dets, ok := sh.detects[k]
-	sh.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.miss.Add(1)
-	}
-	return dets, ok
-}
-
-// PutDetections caches detector output for a frame. The slice is copied,
-// so callers may keep mutating their own.
-func (c *SharedCache) PutDetections(model string, frame int, dets []track.Detection) {
-	if c == nil {
-		return
-	}
-	owned := make([]track.Detection, len(dets))
-	copy(owned, dets)
-	k := detKey{model, frame}
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	sh.detects[k] = owned
-	sh.mu.Unlock()
-}
-
 // DoDetections returns the cached detector output for (model, frame) or
 // computes, caches and returns it. Concurrent callers missing on the same
 // key are deduplicated: one runs compute, the rest wait and share its
@@ -310,37 +276,6 @@ func (c *SharedCache) DoDetections(model string, frame int, compute func() ([]tr
 	sh.mu.Unlock()
 	close(f.done)
 	return dets, err
-}
-
-// GetLabel returns a cached classification for (model, frame, box,
-// object).
-func (c *SharedCache) GetLabel(model string, frame int, box geom.BBox, truthID int) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	k := makeLabelKey(model, frame, box, truthID)
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	v, ok := sh.labels[k]
-	sh.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.miss.Add(1)
-	}
-	return v, ok
-}
-
-// PutLabel caches a classification.
-func (c *SharedCache) PutLabel(model string, frame int, box geom.BBox, truthID int, v any) {
-	if c == nil {
-		return
-	}
-	k := makeLabelKey(model, frame, box, truthID)
-	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	sh.labels[k] = v
-	sh.mu.Unlock()
 }
 
 // DoLabel returns the cached classification for (model, frame, box,

@@ -1,7 +1,7 @@
 package exec
 
 // Concurrency suite for the sharded caches: run with -race. The shards,
-// atomic stats and single-flight guards exist for RunAll's worker pool,
+// atomic stats and single-flight guards exist for plan.RunAll's worker pool,
 // so these tests hammer them from many goroutines at once.
 
 import (
@@ -29,14 +29,16 @@ func TestSharedCacheConcurrentGetPutStats(t *testing.T) {
 				model := fmt.Sprintf("m%d", i%3)
 				frame := i % 50
 				box := geom.Rect(float64(i%7)*10, 0, 40, 30)
-				c.PutDetections(model, frame, []track.Detection{{Box: box, Class: 1, Score: 0.9, Ref: g}})
-				if dets, ok := c.GetDetections(model, frame); ok && len(dets) != 1 {
-					t.Errorf("detections len = %d", len(dets))
+				dets, err := c.DoDetections(model, frame, func() ([]track.Detection, error) {
+					return []track.Detection{{Box: box, Class: 1, Score: 0.9, Ref: g}}, nil
+				})
+				if err != nil || len(dets) != 1 {
+					t.Errorf("detections = %v, %v", dets, err)
 					return
 				}
-				c.PutLabel(model, frame, box, g, "red")
-				if v, ok := c.GetLabel(model, frame, box, g); ok && v != "red" {
-					t.Errorf("label = %v", v)
+				v, err := c.DoLabel(model, frame, box, g, func() (any, error) { return "red", nil })
+				if err != nil || v != "red" {
+					t.Errorf("label = %v, %v", v, err)
 					return
 				}
 				c.Stats()
@@ -171,7 +173,7 @@ func TestDoDetectionsErrorNotCached(t *testing.T) {
 }
 
 // TestNilCachePassthrough: a nil cache must degrade to direct compute
-// for the Do* APIs, matching the nil-tolerant Get/Put behaviour.
+// for the Do* APIs (an executor without Options.Cache calls them on nil).
 func TestNilCachePassthrough(t *testing.T) {
 	var c *SharedCache
 	dets, err := c.DoDetections("m", 0, func() ([]track.Detection, error) {

@@ -249,10 +249,8 @@ func (pl *Planner) ArchiveFidelity(q *core.Query, src video.FrameSource, fid vid
 	}
 	m.BindStore(pl.opts.Store, src)
 	stride := fid.NormStride()
-	for f := 0; f < upto; f += stride {
-		if _, err := m.Feed(src.FrameAt(f)); err != nil {
-			return store.FidelityEntry{}, err
-		}
+	if err := m.FeedRange(src, 0, upto, stride); err != nil {
+		return store.FidelityEntry{}, err
 	}
 	m.Close()
 

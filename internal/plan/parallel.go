@@ -1,11 +1,14 @@
 package plan
 
-// This file lifts exec.RunAll's worker-pool scheduling to whole query
-// nodes: planning (canary profiling included) and execution of each node
+// This file is the worker-pool scheduler for multi-query serving. The
+// paper's §4.2 cross-query computation reuse only pays off at the wall
+// clock when queries actually run concurrently against the shared
+// cache; RunAll is that serving loop, scheduling whole query nodes:
+// planning (canary profiling included) and execution of each node
 // happen inside one worker, so higher-order nodes (duration, temporal)
 // recurse entirely within their worker while every basic component of
-// every node shares one cross-query cache. This is the multi-query
-// serving entry point the Session facade exposes as ExecuteAll.
+// every node shares one single-flighted cross-query cache. This is the
+// multi-query entry point the Session facade exposes as ExecuteAll.
 
 import (
 	"fmt"

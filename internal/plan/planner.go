@@ -22,6 +22,7 @@ import (
 	"vqpy/internal/exec"
 	"vqpy/internal/index"
 	"vqpy/internal/models"
+	"vqpy/internal/sim"
 	"vqpy/internal/store"
 	"vqpy/internal/video"
 )
@@ -31,9 +32,6 @@ type Options struct {
 	// Env and Registry are required.
 	Env      *models.Env
 	Registry *models.Registry
-
-	// BatchSize is the executor batch width (default 8).
-	BatchSize int
 
 	// AccuracyTarget is the minimum canary F1 (vs. the most general
 	// plan) an optimized candidate must reach to be selected
@@ -105,9 +103,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchSize == 0 {
-		o.BatchSize = 8
-	}
 	if o.AccuracyTarget == 0 {
 		o.AccuracyTarget = 0.9
 	}
@@ -568,7 +563,6 @@ func (pl *Planner) build(q *core.Query, c candidate) (*exec.Plan, error) {
 	p := &exec.Plan{
 		Query:       effQuery,
 		Steps:       steps,
-		BatchSize:   pl.opts.BatchSize,
 		DisableMemo: pl.opts.DisableMemo,
 		UplinkMS:    pl.opts.EdgeUplinkMS,
 		Label:       c.label,
@@ -723,7 +717,7 @@ func (pl *Planner) selectByProfile(plans []*exec.Plan, canary *video.Video) (*ex
 // ledger, with the session seed so model noise is identical) and fills
 // its cost estimates. Shared by candidate selection and ProfileCost.
 func (pl *Planner) profileOne(p *exec.Plan, canary *video.Video, frames int) (*exec.Result, error) {
-	profEnv := &models.Env{Clock: newIsolatedClock(), Seed: pl.opts.Env.Seed, NoBurn: true}
+	profEnv := &models.Env{Clock: sim.NewClock(), Seed: pl.opts.Env.Seed, NoBurn: true}
 	ex, err := exec.NewExecutor(exec.Options{
 		Env: profEnv, Registry: pl.opts.Registry,
 		MaxFrames: frames, SkipHits: true,

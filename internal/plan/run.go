@@ -5,13 +5,8 @@ import (
 
 	"vqpy/internal/core"
 	"vqpy/internal/exec"
-	"vqpy/internal/sim"
 	"vqpy/internal/video"
 )
-
-// newIsolatedClock returns a clock for profiling runs whose charges are
-// discarded.
-func newIsolatedClock() *sim.Clock { return sim.NewClock() }
 
 // RunResult is the outcome of executing any query node.
 type RunResult struct {

@@ -385,10 +385,8 @@ func runSearchFull(ex *exec.Executor, p *exec.Plan, st *store.Store, src video.F
 		return nil, err
 	}
 	m.BindStore(st, src)
-	for f := 0; f < n; f++ {
-		if _, err := m.Feed(src.FrameAt(f)); err != nil {
-			return nil, err
-		}
+	if err := m.FeedRange(src, 0, n, 1); err != nil {
+		return nil, err
 	}
 	return m.Close()[0], nil
 }

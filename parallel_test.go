@@ -5,12 +5,14 @@ package vqpy_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"vqpy"
 
 	"vqpy/internal/bench"
 	"vqpy/internal/models"
+	"vqpy/internal/video"
 )
 
 func runWorkload(t *testing.T, workers int) []*vqpy.RunResult {
@@ -124,6 +126,34 @@ func TestExecuteAllMergesLedger(t *testing.T) {
 	}
 	if seqMS == 0 {
 		t.Error("ledger recorded no work")
+	}
+}
+
+// TestExecuteAllFailingQueryNamed: one failing query among good ones
+// fails the whole call with an error naming that query — at every worker
+// count, without deadlocking the job feeder (workers that saw the
+// failure keep draining) — and an empty node list is a no-op.
+func TestExecuteAllFailingQueryNamed(t *testing.T) {
+	v := vqpy.GenerateVideo(vqpy.DatasetCityFlow(11, 10))
+	s := vqpy.NewSession(11)
+	s.SetNoBurn(true)
+	if res, err := s.ExecuteAll(nil, v, 4); err != nil || res != nil {
+		t.Fatalf("empty ExecuteAll = %v, %v", res, err)
+	}
+	ghost := vqpy.NewVObj("Ghost", video.ClassCar).Detector("no_such_model")
+	var nodes []vqpy.QueryNode
+	for _, color := range []string{"red", "blue", "black", "white", "silver"} {
+		nodes = append(nodes, vqpy.NewQuery("Q"+color).
+			Use("car", vqpy.Car()).
+			Where(vqpy.P("car", "color").Eq(color)))
+	}
+	bad := vqpy.NewQuery("Haunted").Use("g", ghost).Where(vqpy.P("g", vqpy.PropScore).Gt(0.5))
+	nodes = append(nodes[:2], append([]vqpy.QueryNode{bad}, nodes[2:]...)...)
+	for _, workers := range []int{1, 2, 4} {
+		_, err := s.ExecuteAll(nodes, v, workers)
+		if err == nil || !strings.Contains(err.Error(), "Haunted") {
+			t.Errorf("workers=%d: err = %v, want one naming query Haunted", workers, err)
+		}
 	}
 }
 

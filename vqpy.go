@@ -213,11 +213,6 @@ type config struct {
 // Option customizes one Execute call.
 type Option func(*config)
 
-// WithBatchSize sets the executor batch width.
-func WithBatchSize(n int) Option {
-	return func(c *config) { c.planOpts.BatchSize = n }
-}
-
 // WithAccuracyTarget sets the minimum canary F1 for optimized plans.
 func WithAccuracyTarget(f float64) Option {
 	return func(c *config) { c.planOpts.AccuracyTarget = f }
@@ -547,6 +542,15 @@ func (s *Session) planner(opts ...Option) (*plan.Planner, *config, error) {
 	return pl, cfg, err
 }
 
+// executor builds the executor of the streaming entry points (OpenShared,
+// Serve, OpenStream): the session's env and registry, the caller's
+// WithSharedCache cache if any, and the SetFaults injector — the one
+// place faults reach execution, since planner-driven paths build their
+// own fault-free executors (see SetFaults).
+func (s *Session) executor(cfg *config) (*exec.Executor, error) {
+	return exec.NewExecutor(exec.Options{Env: s.env, Registry: s.registry, Cache: cfg.planOpts.Cache, Faults: s.faults})
+}
+
 // Execute plans and runs a query node over a video.
 func (s *Session) Execute(node QueryNode, v *Video, opts ...Option) (*RunResult, error) {
 	pl, _, err := s.planner(opts...)
@@ -608,7 +612,7 @@ func (s *Session) OpenShared(qs []*Query, canary *Video, fps int, opts ...Option
 	// A WithSharedCache cache reaches the mux so several streams (e.g.
 	// one per camera) can share detection work; OpenMux creates a
 	// stream-private cache otherwise.
-	ex, err := exec.NewExecutor(exec.Options{Env: s.env, Registry: s.registry, Cache: cfg.planOpts.Cache, Faults: s.faults})
+	ex, err := s.executor(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -636,7 +640,7 @@ func (s *Session) Serve(fps int, opts ...Option) (*MuxStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, err := exec.NewExecutor(exec.Options{Env: s.env, Registry: s.registry, Cache: cfg.planOpts.Cache, Faults: s.faults})
+	ex, err := s.executor(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -744,7 +748,7 @@ func (s *Session) OpenStream(q *Query, canary *Video, fps int, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	ex, err := exec.NewExecutor(exec.Options{Env: s.env, Registry: s.registry, Cache: cfg.planOpts.Cache, Faults: s.faults})
+	ex, err := s.executor(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,6 @@ func TestOptionsCompose(t *testing.T) {
 		Use("car", vqpy.Car()).
 		Where(vqpy.P("car", "color").Eq("red"))
 	res, err := s.Execute(q, v,
-		vqpy.WithBatchSize(4),
 		vqpy.WithAccuracyTarget(0.8),
 		vqpy.WithCanaryFrames(10),
 		vqpy.WithoutMemo(),
