@@ -24,8 +24,13 @@
 //	                             synchronously: probe-then-verify over the fed
 //	                             frames, tuned by "track"/"threshold"/"topk";
 //	                             requires -store and -index)
-//	DELETE /queries/{id}         detach, returns the final result
-//	GET    /queries/{id}/results live result snapshot (?since=F for deltas)
+//	                             ({"mode":"fleet","query":"redcar"} attaches
+//	                             the query to all cameras at once; -fleet N)
+//	DELETE /queries/{id}         detach, returns the final result (a fleet
+//	                             query: per-source finals)
+//	GET    /queries/{id}/results live result snapshot (?since=F for deltas;
+//	                             a fleet query: the merged per-global-id view
+//	                             with provenance, ?min_sources=&window_sec=)
 //	GET    /streamz              sources, scan groups, lanes, counters, store,
 //	                             degradation state (breakers, quarantines)
 //	GET    /metrics              Prometheus text exposition (DESIGN.md §11)
@@ -35,14 +40,10 @@
 // Fleet mode (-fleet N, DESIGN.md §8) replaces -sources with N
 // correlated camera clips sharing one entity population, driven in
 // lockstep with batched cross-source detector inference and a global
-// re-ID registry, and adds the fleet-wide query surface (-attach
-// accepts the pseudo-source "fleet", e.g. -attach fleet:redcar, to
-// register a standing fleet-wide query before frames start flowing):
-//
-//	POST   /fleet/queries              {"query":"redcar"} → all cameras at once
-//	DELETE /fleet/queries/{id}         detach everywhere, per-source finals
-//	GET    /fleet/queries/{id}/results merged per-global-id view with
-//	                                   provenance (?min_sources=&window_sec=)
+// re-ID registry, and enables the "fleet" mode of POST /queries
+// (-attach accepts the pseudo-source "fleet", e.g. -attach
+// fleet:redcar, to register a standing fleet-wide query before frames
+// start flowing).
 //
 // -speed multiplies the frame rate (10 feeds a 30fps source at 300fps);
 // -budget-ms rejects queries (HTTP 503) whose estimated per-frame
@@ -160,13 +161,11 @@ func main() {
 				fmt.Fprintf(os.Stderr, "vqserve: -attach %q: want source:query (or fleet:query)\n", pair)
 				os.Exit(2)
 			}
-			var id int
-			var err error
+			req := serve.AttachRequest{Source: sourceName, Query: queryName}
 			if sourceName == "fleet" {
-				id, err = s.AttachFleet(queryName)
-			} else {
-				id, err = s.AttachNamed(sourceName, queryName)
+				req = serve.AttachRequest{Query: queryName, Fleet: true}
 			}
+			id, err := s.Attach(req)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "vqserve: -attach %s: %v\n", pair, err)
 				os.Exit(1)
@@ -240,8 +239,7 @@ func main() {
 		stop()
 		fmt.Println("vqserve: signal received, draining")
 		sum := s.Drain()
-		fmt.Printf("vqserve: drained %d queries (%d fleet), store flushed: %v\n",
-			sum.QueriesDetached, sum.FleetQueriesDetached, sum.StoreFlushed)
+		fmt.Printf("vqserve: drained %d queries, store flushed: %v\n", sum.QueriesDetached, sum.StoreFlushed)
 		if err := httpSrv.Shutdown(context.Background()); err != nil {
 			fmt.Fprintf(os.Stderr, "vqserve: shutdown: %v\n", err)
 		}

@@ -108,11 +108,11 @@ func runChaosFleet(cfg Config, inj *vqpy.FaultInjector) (*chaosFleetRun, error) 
 		return nil, err
 	}
 	defer s.Close()
-	redID, err := s.AttachFleet("redcar")
+	redID, err := s.Attach(serve.AttachRequest{Query: "redcar", Fleet: true})
 	if err != nil {
 		return nil, err
 	}
-	peopleID, err := s.AttachFleet("people")
+	peopleID, err := s.Attach(serve.AttachRequest{Query: "people", Fleet: true})
 	if err != nil {
 		return nil, err
 	}
@@ -141,10 +141,10 @@ func runChaosFleet(cfg Config, inj *vqpy.FaultInjector) (*chaosFleetRun, error) 
 	}
 	run.wall = time.Since(start)
 	run.stats = s.Streamz()
-	if run.red, err = s.DetachFleet(redID); err != nil {
+	if run.red, err = s.Detach("", redID); err != nil {
 		return nil, err
 	}
-	if run.people, err = s.DetachFleet(peopleID); err != nil {
+	if run.people, err = s.Detach("", peopleID); err != nil {
 		return nil, err
 	}
 	return run, nil
@@ -237,11 +237,11 @@ func runChaosStore(cfg Config, inj *vqpy.FaultInjector) (*vqpy.Result, *serve.St
 		}
 	}
 	stats := s.Streamz()
-	res, err := s.Detach(id)
+	res, err := s.Detach("", id)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, stats.Store, nil
+	return res["cityflow"], stats.Store, nil
 }
 
 // RunChaos is the E19 experiment entry point used by vqbench. A panic

@@ -472,8 +472,7 @@ func (m *MuxStream) Groups() []string {
 
 // GroupMembers returns each scan group's member-lane count, in group
 // creation order. Lanes without a shareable prefix belong to no group
-// and are not counted. plan.DedupScans derives the same partition at
-// the logical layer; tests pin the two views together.
+// and are not counted.
 func (m *MuxStream) GroupMembers() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,30 +2,10 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"vqpy/internal/exec"
-	"vqpy/internal/fault"
 	"vqpy/internal/video"
-)
-
-// Quarantine policy: a source whose frame source stalls repeatedly is
-// quarantined — the lockstep tick stops polling it every tick and
-// probes it on a slow cadence instead, so one stalled camera never
-// blocks or slows its siblings. A successful probe lifts the
-// quarantine; a source that never recovers is eventually declared done,
-// bounding Run.
-const (
-	// quarantineThreshold is the consecutive stalled polls that
-	// quarantine a source.
-	quarantineThreshold = 3
-	// quarantineProbeEvery is the tick cadence quarantined sources are
-	// probed at.
-	quarantineProbeEvery = 4
-	// stallLimit is the consecutive stalled polls after which a source
-	// is declared dead (done) — the termination bound for Run.
-	stallLimit = 100
 )
 
 // Ticker brackets one lockstep frame tick — the batch scheduler's
@@ -46,13 +26,6 @@ type engineSource struct {
 	src  video.FrameSource
 	fed  int
 	done bool
-
-	stalls        int  // consecutive stalled polls (reset on success)
-	totalStalls   int  // stalled polls over the source's lifetime
-	dropped       int  // frames lost to drops (fed past, never scanned)
-	quarantined   bool // on the slow probe cadence
-	quarantinedAt int  // tick the quarantine started
-	quarantines   int  // quarantine entries over the source's lifetime
 }
 
 // Attachment records one fleet-wide query: the per-source lanes it
@@ -192,22 +165,6 @@ func (e *Engine) Detach(id int) (map[string]*exec.Result, error) {
 	return out, firstErr
 }
 
-// Queries returns the live fleet attachments, by ascending id.
-func (e *Engine) Queries() []Attachment {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ids := make([]int, 0, len(e.queries))
-	for id := range e.queries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]Attachment, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *e.queries[id])
-	}
-	return out
-}
-
 // Step advances the fleet by one lockstep tick: each source with frames
 // remaining is fed its next frame, all inside one batch window so
 // same-tick detector invocations coalesce. A source whose feed fails is
@@ -234,50 +191,13 @@ func (e *Engine) stepLocked() (bool, error) {
 			s.done = true
 			continue
 		}
-		if s.quarantined && (e.ticks-s.quarantinedAt)%quarantineProbeEvery != 0 {
-			// Quarantined: siblings proceed at full rate; this source is
-			// probed on the slow cadence only. It still counts as pending
-			// so Run keeps ticking until it recovers or is declared dead.
-			fed = true
-			continue
-		}
-		f, status := fault.Poll(s.src, s.fed)
-		switch status {
-		case fault.StatusStalled:
-			s.stalls++
-			s.totalStalls++
-			if s.stalls >= stallLimit {
-				// The source is not coming back; declare it dead so the
-				// fleet can drain instead of probing forever.
-				s.done = true
-				s.quarantined = false
-				continue
-			}
-			if !s.quarantined && s.stalls >= quarantineThreshold {
-				s.quarantined = true
-				s.quarantinedAt = e.ticks
-				s.quarantines++
-			}
-			fed = true
-			continue
-		case fault.StatusDropped:
-			// The frame is lost for good: skip the index. The mux never
-			// sees it; lane Matched vectors are simply shorter.
-			s.stalls = 0
-			s.dropped++
-			s.fed++
-			fed = true
-			continue
-		}
-		if _, err := s.mux.Feed(f); err != nil {
+		if _, err := s.mux.Feed(s.src.FrameAt(s.fed)); err != nil {
 			s.done = true
 			if firstErr == nil {
 				firstErr = fmt.Errorf("fleet: feed %s: %w", s.name, err)
 			}
 			continue
 		}
-		s.stalls = 0
-		s.quarantined = false
 		s.fed++
 		fed = true
 	}
@@ -298,38 +218,6 @@ func (e *Engine) Run() error {
 			return firstErr
 		}
 	}
-}
-
-// SourceHealth is one source's failure-domain state, surfaced by
-// /streamz and /healthz.
-type SourceHealth struct {
-	Name string `json:"name"`
-	// Fed is the feed position; Done marks an exhausted or dead source.
-	Fed  int  `json:"fed"`
-	Done bool `json:"done"`
-	// Quarantined marks a source on the slow probe cadence after
-	// repeated stalls; Quarantines counts how often it got there.
-	Quarantined bool `json:"quarantined"`
-	Quarantines int  `json:"quarantines"`
-	// Stalls counts stalled polls over the source's lifetime; Dropped
-	// counts frames lost to drops.
-	Stalls  int `json:"stalls"`
-	Dropped int `json:"dropped"`
-}
-
-// Health reports every source's failure-domain state, in feed order.
-func (e *Engine) Health() []SourceHealth {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]SourceHealth, len(e.sources))
-	for i, s := range e.sources {
-		out[i] = SourceHealth{
-			Name: s.name, Fed: s.fed, Done: s.done,
-			Quarantined: s.quarantined, Quarantines: s.quarantines,
-			Stalls: s.totalStalls, Dropped: s.dropped,
-		}
-	}
-	return out
 }
 
 // FramesFed reports each source's feed position, keyed by source name.

@@ -17,8 +17,7 @@ package plan
 //     scan prefixes are structurally identical — same frame-filter
 //     chain, same detector, same source (exec.ScanPrefixOf keys) — and
 //     runs each group's scan/detect/track exactly once per frame,
-//     fanning results out to every member query. DedupScans exposes the
-//     same partition at the logical layer for analysis and explain.
+//     fanning results out to every member query.
 //
 // Results are identical either way; only the amount of scan work and its
 // ledger attribution change.
@@ -240,23 +239,6 @@ func assembleIR(ir *QueryIR, leafRes map[*BasicIR]*exec.Result, fps int) *RunRes
 	return nil
 }
 
-// ScanShare describes one group produced by the cross-query dedup pass:
-// the scan prefix (filter chain + detector), the classes tracked under
-// it, and the queries it serves. One ScanShare lowers to one shared
-// filter/detect/track operator set in the MuxStream.
-type ScanShare struct {
-	// Filters is the ordered frame-filter chain of the shared prefix.
-	Filters []string
-	// Detect is the shared detector model; empty for pipelines that
-	// cannot share their scan (scene-first, edge-placed).
-	Detect string
-	// Classes lists the object classes tracked under the shared scan,
-	// sorted.
-	Classes []video.Class
-	// Queries names the member pipelines, in workload order.
-	Queries []string
-}
-
 // canaryOf recovers a materialized video from a frame source for canary
 // profiling and result-cache fingerprints. Both simulation sources can
 // materialize; a live source would return nil and skip profiling.
@@ -273,8 +255,8 @@ func canaryOf(src video.FrameSource) *video.Video {
 // RunShared plans and executes every query node over one frame source in
 // a single shared pass: all nodes are compiled to the IR and
 // exec.MuxStream multiplexes every basic pipeline over one frame
-// stream, deduplicating structurally identical scan prefixes (the
-// DedupScans partition) into shared operators. Results align
+// stream, deduplicating structurally identical scan prefixes into
+// shared operators. Results align
 // positionally with nodes and are identical to running the nodes
 // sequentially (per-query virtual-time attribution shifts: shared scan
 // costs are split across the queries riding them).

@@ -31,6 +31,26 @@ func scoreQuery(name, inst string, ct *core.VObjType) *core.Query {
 		Where(core.P(inst, core.PropScore).Gt(0.5))
 }
 
+// muxOver opens a shared-scan mux over the compiled pipelines — the one
+// place scan prefixes are grouped.
+func muxOver(t *testing.T, leaves []*BasicIR) *exec.MuxStream {
+	t.Helper()
+	plans := make([]*exec.Plan, len(leaves))
+	for i, leaf := range leaves {
+		plans[i] = leaf.Plan
+	}
+	ex, err := exec.NewExecutor(exec.Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ex.OpenMux(plans, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
 // TestDedupScans is the cross-query optimizer contract: structurally
 // identical scan prefixes merge into one Detect node; differing frame
 // filters or detectors keep scans apart.
@@ -48,8 +68,7 @@ func TestDedupScans(t *testing.T) {
 	cases := []struct {
 		name    string
 		nodes   func() []core.QueryNode
-		groups  int
-		members []int // queries per group, workload order
+		members []int // queries per scan group, workload order
 	}{
 		{
 			name: "same detector merges",
@@ -59,7 +78,7 @@ func TestDedupScans(t *testing.T) {
 					scoreQuery("B", "car", carType()),
 				}
 			},
-			groups: 1, members: []int{2},
+			members: []int{2},
 		},
 		{
 			name: "differing frame filters prevent merging",
@@ -69,7 +88,7 @@ func TestDedupScans(t *testing.T) {
 					scoreQuery("Diffed", "car", diffCar()),
 				}
 			},
-			groups: 2, members: []int{1, 1},
+			members: []int{1, 1},
 		},
 		{
 			name: "identical frame filters merge",
@@ -79,7 +98,7 @@ func TestDedupScans(t *testing.T) {
 					scoreQuery("DiffB", "car", diffCar()),
 				}
 			},
-			groups: 1, members: []int{2},
+			members: []int{2},
 		},
 		{
 			name: "different detectors stay apart",
@@ -89,7 +108,7 @@ func TestDedupScans(t *testing.T) {
 					scoreQuery("Cheap", "car", cheapCar()),
 				}
 			},
-			groups: 2, members: []int{1, 1},
+			members: []int{1, 1},
 		},
 		{
 			name: "different classes of one detector share the scan",
@@ -99,7 +118,7 @@ func TestDedupScans(t *testing.T) {
 					scoreQuery("People", "p", personType()),
 				}
 			},
-			groups: 1, members: []int{2},
+			members: []int{2},
 		},
 		{
 			name: "combinator leaves participate",
@@ -110,22 +129,16 @@ func TestDedupScans(t *testing.T) {
 					dur,
 				}
 			},
-			groups: 1, members: []int{2},
+			members: []int{2},
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := testPlanner(t, nil)
-			leaves := compileLeaves(t, pl, tc.nodes()...)
-			shares := DedupScans(leaves)
-			if len(shares) != tc.groups {
-				t.Fatalf("groups = %d, want %d: %+v", len(shares), tc.groups, shares)
-			}
-			for i, want := range tc.members {
-				if got := len(shares[i].Queries); got != want {
-					t.Errorf("group %d members = %d (%v), want %d", i, got, shares[i].Queries, want)
-				}
+			m := muxOver(t, compileLeaves(t, pl, tc.nodes()...))
+			if got := m.GroupMembers(); !reflect.DeepEqual(got, tc.members) {
+				t.Errorf("group members = %v, want %v: %v", got, tc.members, m.Groups())
 			}
 		})
 	}
@@ -136,64 +149,14 @@ func TestDedupScans(t *testing.T) {
 func TestDedupScansClasses(t *testing.T) {
 	pl := testPlanner(t, nil)
 	personType := core.NewVObj("Person", video.ClassPerson).Detector("yolox")
-	leaves := compileLeaves(t, pl,
+	m := muxOver(t, compileLeaves(t, pl,
 		scoreQuery("Cars", "car", carType()),
 		scoreQuery("People", "p", personType),
 		scoreQuery("MoreCars", "car", carType()),
-	)
-	shares := DedupScans(leaves)
-	if len(shares) != 1 {
-		t.Fatalf("groups = %d, want 1", len(shares))
-	}
-	want := []video.Class{video.ClassPerson, video.ClassCar}
-	if video.ClassCar < video.ClassPerson {
-		want = []video.Class{video.ClassCar, video.ClassPerson}
-	}
-	if !reflect.DeepEqual(shares[0].Classes, want) {
-		t.Errorf("classes = %v, want %v", shares[0].Classes, want)
-	}
-	if shares[0].Detect != "yolox" {
-		t.Errorf("detect = %q, want yolox", shares[0].Detect)
-	}
-}
-
-// TestDedupScansMatchesMuxGroups pins the logical dedup view to the
-// physical grouping the MuxStream actually builds: same group count,
-// same member counts, in the same workload order.
-func TestDedupScansMatchesMuxGroups(t *testing.T) {
-	pl := testPlanner(t, nil)
-	personType := core.NewVObj("Person", video.ClassPerson).Detector("yolox")
-	diffCar := carType().Extend("DiffCar").RegisterFrameFilter("motion_diff", 1)
-	cheapCar := core.NewVObj("CheapCar", video.ClassCar).Detector("yolov5s")
-	leaves := compileLeaves(t, pl,
-		scoreQuery("Cars", "car", carType()),
-		scoreQuery("People", "p", personType),
-		scoreQuery("Diffed", "car", diffCar),
-		scoreQuery("Cheap", "car", cheapCar),
-		scoreQuery("MoreCars", "car", carType()),
-	)
-	shares := DedupScans(leaves)
-
-	plans := make([]*exec.Plan, len(leaves))
-	for i, leaf := range leaves {
-		plans[i] = leaf.Plan
-	}
-	ex, err := exec.NewExecutor(exec.Options{Env: testEnv(), Registry: models.BuiltinRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ex.OpenMux(plans, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logical []int
-	for _, s := range shares {
-		if s.Detect != "" { // shareable groups only; mux tracks no others
-			logical = append(logical, len(s.Queries))
-		}
-	}
-	if got := m.GroupMembers(); !reflect.DeepEqual(got, logical) {
-		t.Errorf("logical dedup %v diverges from mux grouping %v", logical, got)
+	))
+	want := []string{"scan[] → detect(yolox) → track(car,person) ×3"}
+	if got := m.Groups(); !reflect.DeepEqual(got, want) {
+		t.Errorf("groups = %q, want %q", got, want)
 	}
 }
 

@@ -35,8 +35,8 @@ func TestDrainLifecycle(t *testing.T) {
 	if sum.QueriesDetached != 1 {
 		t.Fatalf("drained %d queries, want 1", sum.QueriesDetached)
 	}
-	res, ok := sum.Results[id]
-	if !ok || res == nil || res.FramesProcessed != 5 {
+	res := sum.Results[id]["cityflow"]
+	if res == nil || res.FramesProcessed != 5 {
 		t.Fatalf("drain result for query %d = %+v", id, res)
 	}
 
@@ -209,7 +209,7 @@ func TestFleetQuarantineIsolatesOneCamera(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if _, err := s.AttachFleet("people"); err != nil {
+	if _, err := s.Attach(AttachRequest{Query: "people", Fleet: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {

@@ -102,7 +102,7 @@ func TestSyncQueryHoldsNoLockATickNeeds(t *testing.T) {
 		within(t, "Step(banff) while "+op.name+" is held", func() error { return s.Step("banff") })
 		within(t, "Step(cityflow) while "+op.name+" is held", func() error { return s.Step("cityflow") })
 		within(t, "results poll while "+op.name+" is held", func() error {
-			_, err := s.Results(id)
+			_, err := s.Results("", id)
 			return err
 		})
 		within(t, "/streamz while "+op.name+" is held", func() error {
@@ -225,11 +225,11 @@ func (o *stormOutcome) finish(t *testing.T, s *Server, standing map[string][]int
 	t.Helper()
 	for source, ids := range standing {
 		for _, id := range ids {
-			res, err := s.Results(id)
+			res, err := s.Results("", id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.Standing[source] = append(o.Standing[source], res)
+			o.Standing[source] = append(o.Standing[source], res[source])
 		}
 		clock := s.sources[source].session.Clock()
 		o.TotalMS[source] = clock.TotalMS()
@@ -281,7 +281,7 @@ func TestStormEqualsSerialReplay(t *testing.T) {
 		})
 		spin(func() {
 			for _, id := range standing[sc.source] {
-				if _, err := s.ResultsSince(id, 10); err != nil {
+				if _, err := s.Results("", id); err != nil {
 					t.Error(err)
 				}
 			}
@@ -296,17 +296,17 @@ func TestStormEqualsSerialReplay(t *testing.T) {
 					return
 				}
 				for polls := 0; polls < 3; polls++ {
-					if _, err := s.Results(id); err != nil {
+					if _, err := s.Results("", id); err != nil {
 						t.Error(err)
 					}
 				}
-				res, err := s.Detach(id)
+				res, err := s.Detach("", id)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				outMu.Lock()
-				got.Churned[sc.source] = append(got.Churned[sc.source], res)
+				got.Churned[sc.source] = append(got.Churned[sc.source], res[sc.source])
 				outMu.Unlock()
 			}
 		}()
@@ -361,12 +361,12 @@ func TestStormEqualsSerialReplay(t *testing.T) {
 				}
 				attached, churn = append(attached, id), churn[1:]
 			case evDetach:
-				res, err := r.Detach(attached[0])
+				res, err := r.Detach("", attached[0])
 				if err != nil {
 					t.Fatal(err)
 				}
 				attached = attached[1:]
-				want.Churned[sc.source] = append(want.Churned[sc.source], res)
+				want.Churned[sc.source] = append(want.Churned[sc.source], res[sc.source])
 			case evMerge:
 				reply, err := syncs[0].run(r)
 				if err != nil {
@@ -500,43 +500,56 @@ func TestDrainWaitsForInflightQueries(t *testing.T) {
 // and the attach itself hold no registry lock — racing attaches admit
 // exactly as many queries as attaching one at a time.
 func TestAttachRacesRespectBudget(t *testing.T) {
-	cfg := Config{BudgetMS: 100, Loop: true}
-	serial := testServer(t, cfg)
-	want := 0
-	for {
-		if _, err := serial.AttachNamed("cityflow", "redcar"); err != nil {
-			break
-		}
-		want++
-	}
-	s := testServer(t, cfg)
-	var admitted atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				_, err := s.AttachNamed("cityflow", "redcar")
-				var adm *ErrAdmission
-				switch {
-				case err == nil:
-					admitted.Add(1)
-				case !errors.As(err, &adm):
-					t.Error(err)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		req  AttachRequest
+	}{
+		{"per-source", Config{BudgetMS: 100, Loop: true}, AttachRequest{Source: "cityflow", Query: "redcar"}},
+		// A fleet-wide attach reserves on every camera in one step.
+		{"fleet", Config{BudgetMS: 100, Loop: true, FleetCams: 2}, AttachRequest{Query: "redcar", Fleet: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := testServer(t, tc.cfg)
+			want := 0
+			for {
+				if _, err := serial.Attach(tc.req); err != nil {
+					break
 				}
-				if err := s.Step("cityflow"); err != nil {
-					t.Error(err)
+				want++
+			}
+			s := testServer(t, tc.cfg)
+			var admitted atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						_, err := s.Attach(tc.req)
+						var adm *ErrAdmission
+						switch {
+						case err == nil:
+							admitted.Add(1)
+						case !errors.As(err, &adm):
+							t.Error(err)
+						}
+						if err := s.StepAll(); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := int(admitted.Load()); got != want || want == 0 {
+				t.Errorf("racing attaches admitted %d queries, one at a time admits %d", got, want)
+			}
+			for _, st := range s.Streamz().Sources {
+				if st.Queries != want || len(st.Lanes) != want {
+					t.Errorf("%s: resident queries %d, lanes %d, want %d", st.Name, st.Queries, len(st.Lanes), want)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	if got := int(admitted.Load()); got != want || want == 0 {
-		t.Errorf("racing attaches admitted %d queries, one at a time admits %d", got, want)
-	}
-	if st := s.Streamz().Sources[0]; st.Queries != want || len(st.Lanes) != want {
-		t.Errorf("resident queries %d, lanes %d, want %d", st.Queries, len(st.Lanes), want)
+		})
 	}
 }
 
@@ -548,7 +561,7 @@ func TestTenantSyncAccounting(t *testing.T) {
 		StoreDir: t.TempDir(), IndexDir: t.TempDir(),
 		Tenants: []config.Tenant{{Name: "gold", Share: 3}, {Name: "free", Share: 1}},
 	})
-	if _, err := s.AttachNamedAs("gold", "cityflow", "redcar", false); err != nil {
+	if _, err := s.Attach(AttachRequest{Tenant: "gold", Source: "cityflow", Query: "redcar"}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {

@@ -14,18 +14,19 @@ import (
 	"vqpy"
 )
 
-// FidelityRequest is one accuracy-budgeted synchronous query.
+// FidelityRequest is one accuracy-budgeted synchronous query, and the
+// POST /queries body of the "fidelity" mode.
 type FidelityRequest struct {
 	// Source / Query name the stream and the catalogue query to answer.
-	Source string
-	Query  string
+	Source string `json:"source"`
+	Query  string `json:"query"`
 	// Accuracy is the floor the answer must meet. 0 (undeclared) and 1
 	// both demand exact answers, which only the live full-fidelity path
 	// provides — fidelity serving is opt-in per request.
-	Accuracy float64
+	Accuracy float64 `json:"accuracy,omitempty"`
 	// Tenant is who the query's virtual cost is billed to; ignored in
 	// single-tenant mode.
-	Tenant string
+	Tenant string `json:"-"`
 }
 
 // FidelitySummary is the wire-level fidelity-query reply.

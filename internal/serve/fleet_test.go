@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,14 +40,15 @@ func doFleet(t *testing.T, h http.Handler, method, path, body string) (int, map[
 	return w.Code, out
 }
 
-// TestFleetHTTPFlow drives the fleet surface end to end: attach a
-// fleet-wide query over HTTP, step the lockstep ticker, read the merged
-// per-global-id results, check /streamz's fleet block, detach.
+// TestFleetHTTPFlow drives a fleet-wide query end to end through the
+// one query surface: attach it with mode "fleet", step the lockstep
+// ticker, read the merged per-global-id results, check /streamz's fleet
+// block and query rows, detach.
 func TestFleetHTTPFlow(t *testing.T) {
 	s := newFleetServer(t, 0)
 	h := s.Handler()
 
-	code, resp := doFleet(t, h, "POST", "/fleet/queries", `{"query":"people"}`)
+	code, resp := doFleet(t, h, "POST", "/queries", `{"mode":"fleet","query":"people"}`)
 	if code != http.StatusOK {
 		t.Fatalf("fleet attach: %d %v", code, resp)
 	}
@@ -61,7 +65,7 @@ func TestFleetHTTPFlow(t *testing.T) {
 		}
 	}
 
-	code, resp = doFleet(t, h, "GET", "/fleet/queries/0/results?min_sources=2&window_sec=30", "")
+	code, resp = doFleet(t, h, "GET", "/queries/0/results?min_sources=2&window_sec=30", "")
 	if code != http.StatusOK {
 		t.Fatalf("fleet results: %d %v", code, resp)
 	}
@@ -90,15 +94,25 @@ func TestFleetHTTPFlow(t *testing.T) {
 	if batch["Ticks"].(float64) != 30 {
 		t.Fatalf("batch ticks = %v, want 30", batch["Ticks"])
 	}
-	if len(fl["queries"].([]any)) != 1 {
-		t.Fatalf("fleet queries = %v", fl["queries"])
+	// One query, one row per camera it rides.
+	rows := resp["queries"].([]any)
+	onSource := make(map[string]bool)
+	for _, raw := range rows {
+		row := raw.(map[string]any)
+		if row["id"].(float64) != 0 || row["frames"].(float64) != 30 {
+			t.Fatalf("query row = %v, want id 0 over 30 frames", row)
+		}
+		onSource[row["source"].(string)] = true
+	}
+	if len(rows) != 2 || len(onSource) != 2 {
+		t.Fatalf("query rows = %v, want one per camera", rows)
 	}
 
-	code, resp = doFleet(t, h, "DELETE", "/fleet/queries/0", "")
-	if code != http.StatusOK {
+	code, resp = doFleet(t, h, "DELETE", "/queries/0", "")
+	if code != http.StatusOK || len(resp["per_source"].(map[string]any)) != 2 {
 		t.Fatalf("fleet detach: %d %v", code, resp)
 	}
-	if code, _ = doFleet(t, h, "GET", "/fleet/queries/0/results", ""); code != http.StatusNotFound {
+	if code, _ = doFleet(t, h, "GET", "/queries/0/results", ""); code != http.StatusNotFound {
 		t.Fatalf("detached fleet query still readable: %d", code)
 	}
 }
@@ -108,21 +122,22 @@ func TestFleetHTTPFlow(t *testing.T) {
 // rejected with the admission error and leaves no lanes behind.
 func TestFleetAttachAdmission(t *testing.T) {
 	s := newFleetServer(t, 0.001)
-	if _, err := s.AttachFleet("redcar"); err == nil {
-		t.Fatal("expected admission rejection")
+	var adm *ErrAdmission
+	if _, err := s.Attach(AttachRequest{Query: "redcar", Fleet: true}); !errors.As(err, &adm) {
+		t.Fatalf("fleet attach over budget = %v, want ErrAdmission", err)
 	}
 	st := s.Streamz()
-	if st.Fleet == nil || len(st.Fleet.Queries) != 0 {
-		t.Fatalf("rejected attach left fleet queries: %+v", st.Fleet)
+	if len(st.Queries) != 0 {
+		t.Fatalf("rejected attach left queries: %+v", st.Queries)
 	}
 	for _, src := range st.Sources {
-		if len(src.Lanes) != 0 {
+		if len(src.Lanes) != 0 || src.Queries != 0 {
 			t.Fatalf("rejected attach left lanes on %s", src.Name)
 		}
 	}
 }
 
-// TestFleetSurfaceDisabledWithoutFleetMode checks the fleet endpoints
+// TestFleetSurfaceDisabledWithoutFleetMode checks mode "fleet" answers
 // 404 on a per-source daemon.
 func TestFleetSurfaceDisabledWithoutFleetMode(t *testing.T) {
 	s, err := NewServer(Config{Seed: 1, Seconds: 2, Speed: 0}, []string{"cityflow"})
@@ -130,9 +145,26 @@ func TestFleetSurfaceDisabledWithoutFleetMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	code, _ := doFleet(t, s.Handler(), "POST", "/fleet/queries", `{"query":"people"}`)
+	code, _ := doFleet(t, s.Handler(), "POST", "/queries", `{"mode":"fleet","query":"people"}`)
 	if code != http.StatusNotFound {
 		t.Fatalf("fleet attach on per-source daemon: %d, want 404", code)
+	}
+}
+
+// stepUntilDone drives a manual-stepping daemon to the end of every clip.
+func stepUntilDone(t *testing.T, s *Server) {
+	t.Helper()
+	for {
+		done := true
+		for _, src := range s.Streamz().Sources {
+			done = done && src.Done
+		}
+		if done {
+			return
+		}
+		if err := s.StepAll(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -144,27 +176,15 @@ func TestFleetCrossCameraOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if _, err := s.AttachFleet("redcar"); err != nil {
+	if _, err := s.Attach(AttachRequest{Query: "redcar", Fleet: true}); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		st := s.Streamz()
-		done := true
-		for _, src := range st.Sources {
-			if !src.Done {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if err := s.StepAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	view, err := s.FleetResults(0, 2, 30)
-	if err != nil {
-		t.Fatal(err)
+	stepUntilDone(t, s)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/queries/0/results?min_sources=2&window_sec=30", nil))
+	var view FleetResultView
+	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("fleet results: %d %q: %v", w.Code, w.Body.String(), err)
 	}
 	if len(view.Entities) == 0 {
 		t.Fatal("no merged entities")
@@ -178,6 +198,117 @@ func TestFleetCrossCameraOverHTTP(t *testing.T) {
 	}
 	if st.Fleet.Batch.Batched == 0 {
 		t.Fatal("no batched invocations in fleet mode")
+	}
+}
+
+// TestMixedQueryTable attaches one per-camera query and one fleet-wide
+// query on a fleet daemon: both live in the one table, so ids are dense,
+// each source's admission load is the sum over both, and a drain
+// finalizes each exactly once.
+func TestMixedQueryTable(t *testing.T) {
+	s := newFleetServer(t, 0)
+	cams := s.SourceNamesRegistered()
+	one, err := s.AttachNamed(cams[0], "people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := s.Attach(AttachRequest{Query: "redcar", Fleet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != 0 || wide != 1 {
+		t.Fatalf("ids = %d, %d, want 0, 1", one, wide)
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.StepAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st := s.Streamz()
+	load := make(map[string]float64)
+	lanes := make(map[string]int)
+	for _, row := range st.Queries {
+		load[row.Source] += row.EstMS
+		lanes[row.Source]++
+	}
+	if len(st.Queries) != 1+len(cams) {
+		t.Fatalf("query rows = %+v, want 1 per-camera + %d fleet lanes", st.Queries, len(cams))
+	}
+	for i, src := range st.Sources {
+		want := 1
+		if i == 0 {
+			want = 2
+		}
+		if src.Queries != want || len(src.Lanes) != want || lanes[src.Name] != want {
+			t.Errorf("%s: %d resident, %d lanes, %d rows, want %d", src.Name, src.Queries, len(src.Lanes), lanes[src.Name], want)
+		}
+		if math.Abs(src.EstLoadMS-load[src.Name]) > 1e-9 || src.EstLoadMS <= 0 {
+			t.Errorf("%s: est load %.6f, its query rows sum to %.6f", src.Name, src.EstLoadMS, load[src.Name])
+		}
+	}
+
+	sum := s.Drain()
+	if sum.QueriesDetached != 2 || len(sum.Results) != 2 {
+		t.Fatalf("drain = %+v, want both queries finalized once", sum)
+	}
+	if got := sum.Results[one]; len(got) != 1 || got[cams[0]].FramesProcessed != 5 {
+		t.Errorf("per-camera final = %+v", got)
+	}
+	if got := sum.Results[wide]; len(got) != len(cams) || got[cams[1]].FramesProcessed != 5 {
+		t.Errorf("fleet finals = %+v", got)
+	}
+	if got := s.counters.Get("queries_detached"); got != 2 {
+		t.Errorf("queries_detached = %d, want 2", got)
+	}
+}
+
+// TestResultsParamValidation pins GET /queries/{id}/results' parameter
+// checks: malformed, non-finite or negative values and parameters that
+// do not apply to the query's kind are 400s, never ignored.
+func TestResultsParamValidation(t *testing.T) {
+	s := newFleetServer(t, 0)
+	h := s.Handler()
+	one, err := s.AttachNamed(s.SourceNamesRegistered()[0], "people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := s.Attach(AttachRequest{Query: "people", Fleet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id    int
+		query string
+		want  int
+	}{
+		{wide, "", 200},
+		{wide, "?min_sources=0&window_sec=0", 200},
+		{wide, "?min_sources=3&window_sec=1.5", 200},
+		{wide, "?window_sec=NaN", 400},
+		{wide, "?window_sec=Inf", 400},
+		{wide, "?window_sec=-1", 400},
+		{wide, "?window_sec=soon", 400},
+		{wide, "?min_sources=-1", 400},
+		{wide, "?min_sources=two", 400},
+		{wide, "?since=3", 400},
+		{one, "", 200},
+		{one, "?since=3", 200},
+		{one, "?since=x", 400},
+		{one, "?min_sources=2", 400},
+		{one, "?window_sec=30", 400},
+	} {
+		path := "/queries/" + strconv.Itoa(tc.id) + "/results" + tc.query
+		code, resp := doFleet(t, h, "GET", path, "")
+		if code != tc.want {
+			t.Errorf("GET %s = %d %v, want %d", path, code, resp, tc.want)
+		}
+		if _, isErr := resp["error"]; isErr != (tc.want != 200) {
+			t.Errorf("GET %s: reply %v does not match status %d", path, resp, tc.want)
+		}
 	}
 }
 

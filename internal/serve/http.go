@@ -13,9 +13,14 @@ package serve
 //	                             (+"mode":"text" with "text" [+"eager"] for a synchronous
 //	                             language query — the cheap cascade decides most frames
 //	                             and the open-vocabulary verifier answers the rest)
-//	DELETE /queries/{id}         → final result JSON
+//	                             ({"mode":"fleet","query":"redcar"} → {"id":0,"sources":[...]}
+//	                             attaches one lane per camera; requires -fleet N)
+//	DELETE /queries/{id}         → final result JSON (a fleet query: per-source summaries)
 //	GET    /queries/{id}/results → live result snapshot JSON
-//	                             (?since=F restricts hits to frames >= F — delta polling)
+//	                             (?since=F restricts hits to frames >= F — delta polling;
+//	                             a fleet query answers the merged per-global-id view,
+//	                             ?min_sources=2&window_sec=30 tuning the cross-camera
+//	                             predicate)
 //	GET    /streamz              → sources, groups, lanes, counters, store tiers,
 //	                             degradation state (breakers, quarantines, chaos counters)
 //	GET    /metrics              → Prometheus text exposition (DESIGN.md §11)
@@ -25,18 +30,11 @@ package serve
 // With tenants configured (DESIGN.md §11) every query endpoint is
 // tenant-scoped: the caller names its tenant with the X-Tenant header
 // (or the "tenant" body field on POSTs), requests are charged against
-// the tenant's token bucket, and admission runs against the tenant's
-// budget slice — both rejections answer 429 with a Retry-After header.
+// the tenant's token bucket, admission runs against the tenant's budget
+// slice — both rejections answer 429 with a Retry-After header — and a
+// query answers only the tenant that attached it (404 for anyone else).
 // /streamz, /metrics and the health probes stay ungated so a saturated
 // daemon remains observable.
-//
-// Fleet mode (vqserve -fleet N) adds the fleet-wide surface:
-//
-//	POST   /fleet/queries              {"query":"redcar"} → {"id":0,"sources":[...]}
-//	DELETE /fleet/queries/{id}         → final per-source results
-//	GET    /fleet/queries/{id}/results → merged per-global-id view
-//	                                   (?min_sources=2&window_sec=30 tunes the
-//	                                   cross-camera predicate)
 //
 // The handlers are thin JSON adapters over the Server methods; all
 // concurrency control lives there (the lock hierarchy is on Server).
@@ -44,9 +42,11 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -65,54 +65,30 @@ type queryEnvelope struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// attachModeRequest is the default POST /queries body (mode "" or
-// "attach"): attach a catalogue query to a source's lane. Backfill asks
-// for the store-replayed attach: results cover the frames scanned
-// before the query arrived (requires the daemon's -store).
-type attachModeRequest struct {
-	Source   string `json:"source"`
-	Query    string `json:"query"`
-	Backfill bool   `json:"backfill,omitempty"`
-}
-
-// searchModeRequest is the "mode":"search" body: a synchronous archive
-// search (requires -store and -index). No lane attaches, the reply is
-// the search summary, and track/threshold/topk tune the appearance
-// predicate.
-type searchModeRequest struct {
-	Source    string  `json:"source"`
-	Query     string  `json:"query"`
-	Track     *int    `json:"track,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
-	TopK      int     `json:"topk,omitempty"`
-}
-
-// fidelityModeRequest is the "mode":"fidelity" body: a synchronous
-// accuracy-budgeted query (requires -store). Accuracy declares the
-// floor the answer must meet, and the reply is the fidelity summary
-// with the chosen tier.
-type fidelityModeRequest struct {
-	Source   string  `json:"source"`
-	Query    string  `json:"query"`
-	Accuracy float64 `json:"accuracy,omitempty"`
-}
-
-// textModeRequest is the "mode":"text" body: a synchronous language
-// query over the source's fed frames. Eager asks the open-vocabulary
-// verifier on every frame instead of lazily (the parity baseline).
-type textModeRequest struct {
-	Source string `json:"source"`
-	Text   string `json:"text"`
-	Eager  bool   `json:"eager,omitempty"`
-}
-
 // queryMode is one entry in the POST /queries mode registry: the wire
-// value of the "mode" field and the handler that decodes the mode's
+// value of the "mode" field and the function that decodes the mode's
 // typed request from the raw body and answers it. The tenant reaching
-// handle is already resolved and charged by TenantGate.
+// run is already resolved and charged by TenantGate.
 type queryMode struct {
-	name   string
-	handle func(s *Server, w http.ResponseWriter, tenant string, body []byte)
+	name string
+	run  func(s *Server, tenant string, body []byte) (any, error)
+}
+
+// badBody words the 400 for a body that cannot be read or decoded.
+func badBody(err error) error {
+	return errors.New("serve: bad request body: " + err.Error())
+}
+
+// mode builds a registry row whose request type is R: the body decodes
+// into a zero R, which answer receives.
+func mode[R any](name string, answer func(s *Server, tenant string, req R) (any, error)) queryMode {
+	return queryMode{name: name, run: func(s *Server, tenant string, body []byte) (any, error) {
+		var req R
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, badBody(err)
+		}
+		return answer(s, tenant, req)
+	}}
 }
 
 // queryModes is the mode registry POST /queries dispatches through,
@@ -120,10 +96,28 @@ type queryMode struct {
 // its own typed request struct. An empty mode selects "attach", and
 // the unknown-mode error lists exactly these names.
 var queryModes = []queryMode{
-	{name: "attach", handle: (*Server).modeAttach},
-	{name: "search", handle: (*Server).modeSearch},
-	{name: "fidelity", handle: (*Server).modeFidelity},
-	{name: "text", handle: (*Server).modeText},
+	mode("attach", func(s *Server, tenant string, req AttachRequest) (any, error) {
+		req.Tenant = tenant
+		id, err := s.Attach(req)
+		return attachResponse{ID: id, Source: req.Source, Query: req.Query, Tenant: tenant, Backfill: req.Backfill}, err
+	}),
+	mode("search", func(s *Server, tenant string, req SearchRequest) (any, error) {
+		req.Tenant = tenant
+		return s.Search(req)
+	}),
+	mode("fidelity", func(s *Server, tenant string, req FidelityRequest) (any, error) {
+		req.Tenant = tenant
+		return s.FidelityQuery(req)
+	}),
+	mode("text", func(s *Server, tenant string, req TextRequest) (any, error) {
+		req.Tenant = tenant
+		return s.TextQuery(req)
+	}),
+	mode("fleet", func(s *Server, tenant string, req AttachRequest) (any, error) {
+		req.Fleet, req.Tenant = true, tenant
+		id, err := s.Attach(req)
+		return fleetAttachResponse{ID: id, Query: req.Query, Sources: s.SourceNamesRegistered()}, err
+	}),
 }
 
 // findQueryMode resolves a wire mode name against the registry; "" is
@@ -146,13 +140,27 @@ func findQueryMode(name string) (queryMode, error) {
 	return queryMode{}, errors.New("serve: unknown mode " + strconv.Quote(name) + " (want " + want + ")")
 }
 
-// attachResponse is the POST /queries reply.
+// attachResponse is the POST /queries reply of the "attach" mode.
 type attachResponse struct {
 	ID       int    `json:"id"`
 	Source   string `json:"source"`
 	Query    string `json:"query"`
 	Tenant   string `json:"tenant,omitempty"`
 	Backfill bool   `json:"backfill,omitempty"`
+}
+
+// fleetAttachResponse is the POST /queries reply of the "fleet" mode.
+type fleetAttachResponse struct {
+	ID      int      `json:"id"`
+	Query   string   `json:"query"`
+	Sources []string `json:"sources"`
+}
+
+// fleetDetachResponse is the DELETE /queries/{id} reply for a fleet
+// query: the final per-source result summaries.
+type fleetDetachResponse struct {
+	ID        int                           `json:"id"`
+	PerSource map[string]FleetSourceSummary `json:"per_source"`
 }
 
 // resultResponse wraps a query result for the wire.
@@ -183,9 +191,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /queries", s.handleAttach)
 	mux.HandleFunc("DELETE /queries/{id}", s.handleDetach)
 	mux.HandleFunc("GET /queries/{id}/results", s.handleResults)
-	mux.HandleFunc("POST /fleet/queries", s.handleFleetAttach)
-	mux.HandleFunc("DELETE /fleet/queries/{id}", s.handleFleetDetach)
-	mux.HandleFunc("GET /fleet/queries/{id}/results", s.handleFleetResults)
 	mux.HandleFunc("GET /streamz", s.handleStreamz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -244,243 +249,133 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// handleAttach is POST /queries: decode the mode-independent envelope,
-// charge the tenant, then dispatch through the mode registry. Every
-// mode re-decodes its own typed request from the same flat body.
+// handleAttach is POST /queries.
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
+	reply, err := s.dispatch(r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// dispatch answers one POST /queries: decode the mode-independent
+// envelope, charge the tenant, then run the mode's registry row, which
+// re-decodes its own typed request from the same flat body.
+func (s *Server) dispatch(r *http.Request) (any, error) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
+		return nil, badBody(err)
 	}
 	var env queryEnvelope
 	if err := json.Unmarshal(body, &env); err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
+		return nil, badBody(err)
 	}
 	tenant := requestTenant(r, env.Tenant)
 	if err := s.TenantGate(tenant); err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	mode, err := findQueryMode(env.Mode)
+	m, err := findQueryMode(env.Mode)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	mode.handle(s, w, tenant, body)
+	return m.run(s, tenant, body)
 }
 
-func (s *Server) modeAttach(w http.ResponseWriter, tenant string, body []byte) {
-	var req attachModeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
-	}
-	id, err := s.AttachNamedAs(tenant, req.Source, req.Query, req.Backfill)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, attachResponse{ID: id, Source: req.Source, Query: req.Query, Tenant: tenant, Backfill: req.Backfill})
-}
-
-func (s *Server) modeSearch(w http.ResponseWriter, tenant string, body []byte) {
-	var req searchModeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
-	}
-	sum, err := s.Search(SearchRequest{
-		Source: req.Source, Query: req.Query,
-		Track: req.Track, Threshold: req.Threshold, TopK: req.TopK,
-		Tenant: tenant,
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sum)
-}
-
-func (s *Server) modeFidelity(w http.ResponseWriter, tenant string, body []byte) {
-	var req fidelityModeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
-	}
-	sum, err := s.FidelityQuery(FidelityRequest{
-		Source: req.Source, Query: req.Query, Accuracy: req.Accuracy,
-		Tenant: tenant,
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sum)
-}
-
-func (s *Server) modeText(w http.ResponseWriter, tenant string, body []byte) {
-	var req textModeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
-	}
-	sum, err := s.TextQuery(TextRequest{Source: req.Source, Text: req.Text, Eager: req.Eager, Tenant: tenant})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sum)
-}
-
-func queryID(r *http.Request) (int, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		return 0, errors.New("serve: bad query id: " + err.Error())
-	}
-	return id, nil
-}
-
-func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
-	if err := s.TenantGate(requestTenant(r, "")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	id, err := queryID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	res, err := s.Detach(id)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wireResult(id, res))
-}
-
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	if err := s.TenantGate(requestTenant(r, "")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	id, err := queryID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	since := 0
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		since, err = strconv.Atoi(raw)
-		if err != nil {
-			writeErr(w, errors.New("serve: bad since frame: "+err.Error()))
-			return
-		}
-	}
-	res, err := s.ResultsSince(id, since)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wireResult(id, res))
-}
-
-// fleetAttachRequest is the POST /fleet/queries body.
-type fleetAttachRequest struct {
-	Query  string `json:"query"`
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// fleetAttachResponse is the POST /fleet/queries reply.
-type fleetAttachResponse struct {
-	ID      int      `json:"id"`
-	Query   string   `json:"query"`
-	Sources []string `json:"sources"`
-}
-
-func (s *Server) handleFleetAttach(w http.ResponseWriter, r *http.Request) {
-	var req fleetAttachRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errors.New("serve: bad request body: "+err.Error()))
-		return
-	}
-	tenant := requestTenant(r, req.Tenant)
+// queryRequest is the shared preamble of the per-id endpoints: charge
+// the caller's tenant, then parse the {id} path value.
+func (s *Server) queryRequest(r *http.Request) (tenant string, id int, err error) {
+	tenant = requestTenant(r, "")
 	if err := s.TenantGate(tenant); err != nil {
-		writeErr(w, err)
-		return
+		return "", 0, err
 	}
-	id, err := s.AttachFleetAs(tenant, req.Query)
-	if err != nil {
-		writeErr(w, err)
-		return
+	if id, err = strconv.Atoi(r.PathValue("id")); err != nil {
+		return "", 0, errors.New("serve: bad query id: " + err.Error())
 	}
-	writeJSON(w, http.StatusOK, fleetAttachResponse{ID: id, Query: req.Query, Sources: s.SourceNamesRegistered()})
+	return tenant, id, nil
 }
 
-// fleetDetachResponse is the DELETE /fleet/queries/{id} reply: the
-// final per-source result summaries.
-type fleetDetachResponse struct {
-	ID        int                           `json:"id"`
-	PerSource map[string]FleetSourceSummary `json:"per_source"`
+// handleDetach is DELETE /queries/{id}.
+func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
+	tenant, id, err := s.queryRequest(r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	q, perSource, err := s.read(tenant, id, true)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	if q.fleet {
+		writeJSON(w, http.StatusOK, fleetDetachResponse{ID: id, PerSource: summarizeSources(perSource)})
+		return
+	}
+	writeJSON(w, http.StatusOK, wireResult(id, perSource[q.lanes[0].source]))
 }
 
-func (s *Server) handleFleetDetach(w http.ResponseWriter, r *http.Request) {
-	if err := s.TenantGate(requestTenant(r, "")); err != nil {
-		writeErr(w, err)
-		return
-	}
-	id, err := queryID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	perSource, err := s.DetachFleet(id)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := fleetDetachResponse{ID: id, PerSource: make(map[string]FleetSourceSummary, len(perSource))}
-	for name, res := range perSource {
-		resp.PerSource[name] = FleetSourceSummary{
-			FramesProcessed: res.FramesProcessed,
-			MatchedFrames:   res.MatchedCount(),
-			Hits:            len(res.Hits),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+// readParams are the query parameters of GET /queries/{id}/results,
+// validated; the flags record which were given, because each applies to
+// one kind of query only.
+type readParams struct {
+	since, minSources  int
+	windowSec          float64
+	hasSince, hasFleet bool
 }
 
-func (s *Server) handleFleetResults(w http.ResponseWriter, r *http.Request) {
-	if err := s.TenantGate(requestTenant(r, "")); err != nil {
-		writeErr(w, err)
-		return
+func parseReadParams(v url.Values) (readParams, error) {
+	p := readParams{minSources: 2, windowSec: 30}
+	var err error
+	if raw := v.Get("since"); raw != "" {
+		p.hasSince = true
+		if p.since, err = strconv.Atoi(raw); err != nil {
+			return p, errors.New("serve: bad since frame: " + err.Error())
+		}
 	}
-	id, err := queryID(r)
+	if raw := v.Get("min_sources"); raw != "" {
+		p.hasFleet = true
+		if p.minSources, err = strconv.Atoi(raw); err != nil || p.minSources < 0 {
+			return p, fmt.Errorf("serve: bad min_sources %q: want a non-negative integer", raw)
+		}
+	}
+	if raw := v.Get("window_sec"); raw != "" {
+		p.hasFleet = true
+		// "NaN" and "Inf" parse: a NaN window would drive the cross-camera
+		// counts negative, and neither can be echoed back as JSON.
+		p.windowSec, err = strconv.ParseFloat(raw, 64)
+		if err != nil || math.IsNaN(p.windowSec) || math.IsInf(p.windowSec, 0) || p.windowSec < 0 {
+			return p, fmt.Errorf("serve: bad window_sec %q: want a finite, non-negative number of seconds", raw)
+		}
+	}
+	return p, nil
+}
+
+// handleResults is GET /queries/{id}/results: the live snapshot of a
+// per-source query, or the merged cross-camera view of a fleet query.
+func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+	tenant, id, err := s.queryRequest(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	minSources := 2
-	windowSec := 30.0
-	if raw := r.URL.Query().Get("min_sources"); raw != "" {
-		if minSources, err = strconv.Atoi(raw); err != nil {
-			writeErr(w, errors.New("serve: bad min_sources: "+err.Error()))
-			return
-		}
-	}
-	if raw := r.URL.Query().Get("window_sec"); raw != "" {
-		if windowSec, err = strconv.ParseFloat(raw, 64); err != nil {
-			writeErr(w, errors.New("serve: bad window_sec: "+err.Error()))
-			return
-		}
-	}
-	view, err := s.FleetResults(id, minSources, windowSec)
+	p, err := parseReadParams(r.URL.Query())
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	q, perSource, err := s.read(tenant, id, false)
+	switch {
+	case err != nil:
+		writeErr(w, err)
+	case q.fleet && p.hasSince:
+		writeErr(w, fmt.Errorf("serve: query %d is fleet-wide: since does not apply (use min_sources, window_sec)", id))
+	case q.fleet:
+		writeJSON(w, http.StatusOK, fleetView(q, perSource, p.minSources, p.windowSec))
+	case p.hasFleet:
+		writeErr(w, fmt.Errorf("serve: query %d rides one source: min_sources and window_sec do not apply (use since)", id))
+	default:
+		writeJSON(w, http.StatusOK, wireResult(id, hitsSince(perSource[q.lanes[0].source], p.since)))
+	}
 }
 
 func (s *Server) handleStreamz(w http.ResponseWriter, _ *http.Request) {

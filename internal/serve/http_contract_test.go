@@ -78,7 +78,7 @@ func TestUnknownModeErrorDerivedFromRegistry(t *testing.T) {
 			t.Errorf("unknown-mode error %q does not list registered mode %q", err, m.name)
 		}
 	}
-	want := `serve: unknown mode "probe" (want "attach", "search", "fidelity" or "text")`
+	want := `serve: unknown mode "probe" (want "attach", "search", "fidelity", "text" or "fleet")`
 	if err.Error() != want {
 		t.Errorf("unknown-mode error = %q, want %q", err, want)
 	}
@@ -212,6 +212,64 @@ func TestQueryModeContracts(t *testing.T) {
 		t.Errorf("counters: vlm_calls %d should exceed undecided %d (one eager run)",
 			st.Counters["text_vlm_calls"], st.Counters["text_undecided_frames"])
 	}
+}
+
+// TestFleetModeContracts pins the fleet rows of the one query surface:
+// the "fleet" mode's reply and the shapes DELETE and GET answer for a
+// fleet-wide id (a per-source id keeps its own shapes on the same
+// routes).
+func TestFleetModeContracts(t *testing.T) {
+	s := newFleetServer(t, 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, _, m := postQueries(t, ts, `{"mode":"fleet","query":"redcar"}`, "")
+	if code != http.StatusOK {
+		t.Fatalf("fleet attach answered %d: %v", code, m)
+	}
+	checkShape(t, "fleet", m, []string{"id", "query", "sources"}, nil)
+	if m["id"] != float64(0) || m["query"] != "redcar" {
+		t.Errorf("fleet echo = %v", m)
+	}
+	code, _, m = postQueries(t, ts, `{"mode":"fleet","query":"redcar","source":"cityflow-cam0"}`, "")
+	if code != http.StatusBadRequest {
+		t.Errorf("fleet attach naming a source answered %d, want 400: %v", code, m)
+	}
+	code, _, m = postQueries(t, ts, `{"mode":"fleet","query":"plates"}`, "")
+	if code != http.StatusNotFound {
+		t.Errorf("unknown fleet query answered %d, want 404: %v", code, m)
+	}
+	if err := s.StepAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	do := func(method, path string) (int, map[string]any) {
+		t.Helper()
+		return doFleet(t, s.Handler(), method, path, "")
+	}
+	code, m = do("GET", "/queries/0/results")
+	if code != http.StatusOK {
+		t.Fatalf("fleet results answered %d: %v", code, m)
+	}
+	checkShape(t, "fleet results", m,
+		[]string{"id", "query", "entities", "cross_camera", "min_sources", "window_sec", "per_source"}, nil)
+	if m["min_sources"] != float64(2) || m["window_sec"] != float64(30) {
+		t.Errorf("default predicate echo = %v / %v, want 2 / 30", m["min_sources"], m["window_sec"])
+	}
+	code, m = do("DELETE", "/queries/0")
+	if code != http.StatusOK {
+		t.Fatalf("fleet detach answered %d: %v", code, m)
+	}
+	checkShape(t, "fleet detach", m, []string{"id", "per_source"}, nil)
+	for name, raw := range m["per_source"].(map[string]any) {
+		checkShape(t, "per_source "+name, raw.(map[string]any),
+			[]string{"frames_processed", "matched_frames", "hits"}, nil)
+	}
+	code, m = do("DELETE", "/queries/0")
+	if code != http.StatusNotFound {
+		t.Errorf("double fleet detach answered %d, want 404", code)
+	}
+	checkShape(t, "fleet 404", m, []string{"error"}, nil)
 }
 
 // TestTextModeTenantBilling pins that the text mode is charged against

@@ -16,23 +16,24 @@ import (
 	"vqpy"
 )
 
-// SearchRequest is one archive-search invocation.
+// SearchRequest is one archive-search invocation, and the POST /queries
+// body of the "search" mode.
 type SearchRequest struct {
 	// Source / Query name the stream and the catalogue query whose scan
 	// group defines the archive to search.
-	Source string
-	Query  string
+	Source string `json:"source"`
+	Query  string `json:"query"`
 	// Track is the exemplar: search returns frames whose appearance
 	// matches this indexed track. Nil picks the index's deterministic
 	// exemplar.
-	Track *int
+	Track *int `json:"track,omitempty"`
 	// Threshold is the cosine match bar (0 uses the library default);
 	// TopK keeps only the best-ranked matching tracks (0 keeps all).
-	Threshold float64
-	TopK      int
+	Threshold float64 `json:"threshold,omitempty"`
+	TopK      int     `json:"topk,omitempty"`
 	// Tenant is who the query's virtual cost is billed to; ignored in
 	// single-tenant mode.
-	Tenant string
+	Tenant string `json:"-"`
 }
 
 // SearchSummary is the wire-level search reply.

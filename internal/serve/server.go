@@ -15,6 +15,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,7 +82,8 @@ type Config struct {
 	// camera clips sharing one entity population, all driven in
 	// lockstep on one ticker with batched cross-source detector
 	// inference and a shared global re-ID registry; fleet-wide queries
-	// attach through POST /fleet/queries. Incompatible with StoreDir.
+	// attach through POST /queries with "mode":"fleet". Incompatible
+	// with StoreDir.
 	FleetCams int
 	// Tenants is the multi-tenant QoS section (DESIGN.md §11): named
 	// tenants split BudgetMS between them in proportion to their shares
@@ -141,12 +143,19 @@ type source struct {
 	quarantines   int  // lifetime quarantine entries
 }
 
-// liveQuery is one attached query's registration.
+// liveQuery is one attached query's registration: a per-source query
+// rides one lane, a fleet-wide query one lane per camera.
 type liveQuery struct {
 	id     int
 	name   string
-	source string
 	tenant string // owning tenant; "" in single-tenant mode
+	fleet  bool   // attached fleet-wide: reads and detaches run under the fleet lock
+	lanes  []queryLane
+}
+
+// queryLane is one lane a query rides.
+type queryLane struct {
+	source string
 	lane   int
 	estMS  float64 // estimated virtual ms per frame (admission signal)
 }
@@ -165,9 +174,9 @@ type liveQuery struct {
 //   - the MuxStream, store, index, clock, counters and injector locks,
 //     each private to its type.
 //
-// Fleet mode adds fleetState.mu above the source locks: one lock over
-// the lockstep tick and the fleet-wide attach, because the batch window
-// spans every camera by design.
+// Fleet mode adds fleetState.mu above the registry lock: one lock over
+// the lockstep tick and the fleet-wide attach, detach and read, because
+// the batch window spans every camera by design.
 //
 // sources, order, counters, fleet and every Config field except
 // BudgetMS and Tenants are fixed at construction and read without a
@@ -500,17 +509,16 @@ func (s *Server) closeSourcesLocked() {
 
 // DrainSummary reports what a graceful drain tore down.
 type DrainSummary struct {
-	// QueriesDetached / FleetQueriesDetached count the live queries
-	// finalized by the drain.
-	QueriesDetached      int `json:"queries_detached"`
-	FleetQueriesDetached int `json:"fleet_queries_detached,omitempty"`
+	// QueriesDetached counts the live queries finalized by the drain,
+	// per-source and fleet-wide alike.
+	QueriesDetached int `json:"queries_detached"`
 	// StoreFlushed reports that a persistent store was synced and
 	// closed.
 	StoreFlushed bool `json:"store_flushed,omitempty"`
-	// Results holds the final result of every per-source query that was
-	// still attached, keyed by query id (not serialized: drains are
-	// logged, not shipped).
-	Results map[int]*vqpy.Result `json:"-"`
+	// Results holds the final per-source results of every query that was
+	// still attached, keyed by query id then source (not serialized:
+	// drains are logged, not shipped).
+	Results map[int]map[string]*vqpy.Result `json:"-"`
 }
 
 // Drain shuts the daemon down gracefully (the SIGTERM path of
@@ -528,26 +536,13 @@ func (s *Server) Drain() DrainSummary {
 	if s.drained {
 		return DrainSummary{}
 	}
-	sum := DrainSummary{Results: make(map[int]*vqpy.Result)}
+	sum := DrainSummary{Results: make(map[int]map[string]*vqpy.Result)}
 	for _, id := range sortedIDs(s.queries) {
-		q := s.queries[id]
-		if res, err := s.detachLane(s.sources[q.source], q.lane); err == nil {
-			sum.Results[id] = res
-		}
+		// A lane that fails to finalize reads as a nil result.
+		sum.Results[id], _ = s.detachLanes(s.queries[id].lanes)
 		delete(s.queries, id)
 		sum.QueriesDetached++
 		s.counters.Add("queries_detached", 1)
-	}
-	if s.fleet != nil {
-		for _, id := range sortedIDs(s.fleet.queries) {
-			q := s.fleet.queries[id]
-			for name, lane := range q.lanes {
-				_, _ = s.detachLane(s.sources[name], lane)
-			}
-			delete(s.fleet.queries, id)
-			sum.FleetQueriesDetached++
-			s.counters.Add("fleet_queries_detached", 1)
-		}
 	}
 	sum.StoreFlushed = s.store != nil
 	s.closeSourcesLocked()
@@ -555,8 +550,8 @@ func (s *Server) Drain() DrainSummary {
 	return sum
 }
 
-// sortedIDs lists a query table's ids in ascending order.
-func sortedIDs[Q any](m map[int]Q) []int {
+// sortedIDs lists the query table's ids in ascending order.
+func sortedIDs(m map[int]*liveQuery) []int {
 	ids := make([]int, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)
@@ -565,15 +560,25 @@ func sortedIDs[Q any](m map[int]Q) []int {
 	return ids
 }
 
-// detachLane removes one lane from the source's mux between ticks.
-func (s *Server) detachLane(src *source, lane int) (*vqpy.Result, error) {
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	res, err := src.mux.Detach(lane)
-	if err == nil {
-		s.observe(src.name, evDetach)
+// detachLanes removes lanes from their sources' muxes, each between two
+// ticks of its source, and returns the final results keyed by source.
+// Every lane is tried; the first error is returned alongside.
+func (s *Server) detachLanes(lanes []queryLane) (map[string]*vqpy.Result, error) {
+	out := make(map[string]*vqpy.Result, len(lanes))
+	var firstErr error
+	for _, l := range lanes {
+		src := s.sources[l.source]
+		src.mu.Lock()
+		res, err := src.mux.Detach(l.lane)
+		if err == nil {
+			s.observe(src.name, evDetach)
+		} else if firstErr == nil {
+			firstErr = err
+		}
+		src.mu.Unlock()
+		out[l.source] = res
 	}
-	return res, err
+	return out, firstErr
 }
 
 // Step feeds one frame on the named source (wrapping when Loop is
@@ -689,17 +694,22 @@ func (e *ErrAdmission) Error() string {
 		e.Source, e.EstMS, e.LoadMS, e.ResidentQueries, e.BudgetMS)
 }
 
-// estLoadLocked sums the admission estimates of the queries resident on
-// one source — per-source attaches (live and reserved) plus that
-// source's share of every fleet-wide query. An empty tenant sums every
-// owner's; a name sums that tenant's alone. Callers hold s.mu.
+// estLoadLocked sums the admission estimates of the lanes resident on
+// one source, live and reserved — a fleet-wide query counts on every
+// camera it rides. An empty tenant sums every owner's; a name sums that
+// tenant's alone. Callers hold s.mu.
 func (s *Server) estLoadLocked(source, tenant string) (float64, int) {
 	var load float64
 	n := 0
 	add := func(q *liveQuery) {
-		if q.source == source && (tenant == "" || q.tenant == tenant) {
-			load += q.estMS
-			n++
+		if tenant != "" && q.tenant != tenant {
+			return
+		}
+		for _, l := range q.lanes {
+			if l.source == source {
+				load += l.estMS
+				n++
+			}
 		}
 	}
 	for _, q := range s.queries {
@@ -707,14 +717,6 @@ func (s *Server) estLoadLocked(source, tenant string) (float64, int) {
 	}
 	for q := range s.pending {
 		add(q)
-	}
-	if s.fleet != nil {
-		for _, q := range s.fleet.queries {
-			if est, ok := q.estMS[source]; ok && (tenant == "" || q.tenant == tenant) {
-				load += est
-				n++
-			}
-		}
 	}
 	return load, n
 }
@@ -759,34 +761,76 @@ func (s *Server) admitLocked(st *tenantState, source string, estMS float64) erro
 	return nil
 }
 
-// AttachNamed plans a library query and attaches it to the named
-// source's stream, returning the server-wide query id. The clip doubles
-// as the planner canary, so the plan arrives with a per-frame cost
-// estimate; admission rejects the query when the source's estimated
-// virtual-time load per frame would exceed the budget.
+// AttachRequest is one standing-query attach, and the POST /queries body
+// of the "attach" and "fleet" modes.
+type AttachRequest struct {
+	// Source names the stream a per-source query attaches to; a
+	// fleet-wide attach takes none.
+	Source string `json:"source"`
+	// Query is the catalogue query name (the fleet catalogue when Fleet).
+	Query string `json:"query"`
+	// Backfill replays every frame the source already scanned from the
+	// persistent store before the query goes live, so its results cover
+	// the whole stream as if it had been attached at frame zero.
+	// Requires Config.StoreDir with an archive covering those frames.
+	Backfill bool `json:"backfill,omitempty"`
+	// Fleet attaches the query to every camera of a fleet daemon at
+	// once — live everywhere or nowhere. Set by mode "fleet".
+	Fleet bool `json:"-"`
+	// Tenant is whose budget slice admits the query (rejections are then
+	// ErrTenantBudget, 429, instead of ErrAdmission, 503) and who may
+	// read and detach it; ignored in single-tenant mode.
+	Tenant string `json:"-"`
+}
+
+// AttachNamed attaches a catalogue query to one source on behalf of no
+// tenant: Attach for the operator's own standing queries.
 func (s *Server) AttachNamed(sourceName, queryName string) (int, error) {
-	return s.attach("", sourceName, queryName, false)
+	return s.Attach(AttachRequest{Source: sourceName, Query: queryName})
 }
 
-// AttachNamedAs is AttachNamed on behalf of a tenant: admission runs
-// against the tenant's slice of the source budget and rejections are
-// ErrTenantBudget (429) instead of ErrAdmission (503). In
-// single-tenant mode the tenant name is ignored.
-func (s *Server) AttachNamedAs(tenant, sourceName, queryName string, backfill bool) (int, error) {
-	return s.attach(tenant, sourceName, queryName, backfill)
+// attachTargets resolves what an attach request names: the sources it
+// lands on, in feed order, and the builder of each source's query value.
+func (s *Server) attachTargets(req AttachRequest) ([]*source, func(source string) *vqpy.Query, error) {
+	if !req.Fleet {
+		q, err := BuildQuery(req.Query)
+		if err != nil {
+			return nil, nil, err
+		}
+		src, err := s.lookupSource(req.Source)
+		if err != nil {
+			return nil, nil, err
+		}
+		return []*source{src}, func(string) *vqpy.Query { return q }, nil
+	}
+	if s.fleet == nil {
+		return nil, nil, fmt.Errorf("serve: fleet mode disabled (run with -fleet): %w", ErrNotFound)
+	}
+	if req.Source != "" {
+		return nil, nil, fmt.Errorf("serve: a fleet-wide attach takes no source (got %q)", req.Source)
+	}
+	build, ok := fleetBuilders[req.Query]
+	if !ok {
+		return nil, nil, fmt.Errorf("serve: unknown fleet query %q (have %v): %w", req.Query, FleetQueryNames(), ErrNotFound)
+	}
+	targets := make([]*source, len(s.order))
+	for i, name := range s.order {
+		targets[i] = s.sources[name]
+	}
+	// Each camera's instance resolves global ids against the one shared
+	// identity registry and selects PropGlobalID for mergeable results.
+	return targets, func(source string) *vqpy.Query { return build(s.fleet.reg, source) }, nil
 }
 
-// AttachNamedBackfill is AttachNamed with history: the query replays
-// every frame the source already scanned from the persistent store
-// before going live, so its results cover the whole stream as if it had
-// been attached at frame zero. Requires the daemon to run with a store
-// (Config.StoreDir) whose archive covers the scanned frames.
-func (s *Server) AttachNamedBackfill(sourceName, queryName string) (int, error) {
-	return s.attach("", sourceName, queryName, true)
-}
-
-func (s *Server) attach(tenant, sourceName, queryName string, backfill bool) (int, error) {
-	q, err := BuildQuery(queryName)
+// Attach plans a catalogue query for every source it names and attaches
+// one lane on each, returning the server-wide query id. The clip doubles
+// as the planner canary, so each plan arrives with a per-frame cost
+// estimate; admission rejects the query when any target's estimated
+// virtual-time load per frame would exceed its budget, before any lane
+// exists. The lanes attach atomically: a failure rolls back the ones
+// already attached.
+func (s *Server) Attach(req AttachRequest) (int, error) {
+	targets, build, err := s.attachTargets(req)
 	if err != nil {
 		return 0, err
 	}
@@ -794,57 +838,70 @@ func (s *Server) attach(tenant, sourceName, queryName string, backfill bool) (in
 		return 0, err
 	}
 	defer s.inflight.Done()
-	src, err := s.lookupSource(sourceName)
-	if err != nil {
-		return 0, err
-	}
-	if backfill && s.store == nil {
+	if req.Backfill && s.store == nil {
 		return 0, fmt.Errorf("serve: backfill attach requires the daemon to run with -store")
 	}
-	// Plan first, holding no lock (the clip doubles as the canary, so
-	// the plan arrives with a per-frame cost; profiling runs on an
-	// isolated clock), and admit before any lane state exists — in
-	// particular before a backfill replays the scanned history, work a
-	// rejection would otherwise throw away.
-	plan, err := src.session.PlanQuery(q, src.video)
-	if err != nil {
-		return 0, err
+	if req.Fleet {
+		// Held from planning to the last lane (see fleetState.mu).
+		s.fleet.mu.Lock()
+		defer s.fleet.mu.Unlock()
+	}
+	// Plan first, holding no lock a tick of another source needs
+	// (profiling runs on an isolated clock), and admit before any lane
+	// state exists — in particular before a backfill replays the scanned
+	// history, work a rejection would otherwise throw away.
+	lq := &liveQuery{name: req.Query, fleet: req.Fleet, lanes: make([]queryLane, len(targets))}
+	plans := make([]*vqpy.Plan, len(targets))
+	for i, src := range targets {
+		if plans[i], err = src.session.PlanQuery(build(src.name), src.video); err != nil {
+			return 0, err
+		}
+		lq.lanes[i] = queryLane{source: src.name, estMS: plans[i].EstPerFrameMS}
 	}
 
-	// Admission and the reservation are one step under the registry
-	// lock; the lane itself (and a backfill's replay) is then created
-	// holding only its own source.
+	// Admission on every target and the reservation are one step under
+	// the registry lock; each lane (and a backfill's replay) is then
+	// created holding only its own source.
 	s.mu.Lock()
-	st, err := s.resolveTenantLocked(tenant)
-	if err == nil {
-		err = s.admitLocked(st, sourceName, plan.EstPerFrameMS)
+	st, err := s.resolveTenantLocked(req.Tenant)
+	for i := 0; err == nil && i < len(lq.lanes); i++ {
+		err = s.admitLocked(st, lq.lanes[i].source, lq.lanes[i].estMS)
 	}
 	if err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	lq := &liveQuery{name: queryName, source: sourceName, estMS: plan.EstPerFrameMS}
 	if st != nil {
 		lq.tenant = st.cfg.Name
 	}
 	s.pending[lq] = struct{}{}
 	s.mu.Unlock()
 
-	src.mu.Lock()
-	if backfill {
-		lq.lane, err = src.mux.AttachBackfill(plan)
-	} else {
-		lq.lane, err = src.mux.Attach(plan)
+	// The reservation is read under the registry lock meanwhile, so the
+	// lane ids are collected on a copy and installed with the id.
+	attached := slices.Clone(lq.lanes)
+	for i, src := range targets {
+		src.mu.Lock()
+		if req.Backfill {
+			attached[i].lane, err = src.mux.AttachBackfill(plans[i])
+		} else {
+			attached[i].lane, err = src.mux.Attach(plans[i])
+		}
+		if err == nil {
+			s.observe(src.name, evAttach)
+		}
+		src.mu.Unlock()
+		if err != nil {
+			err = fmt.Errorf("serve: attach on %s: %w", src.name, err)
+			_, _ = s.detachLanes(attached[:i])
+			break
+		}
 	}
-	if err == nil {
-		s.observe(sourceName, evAttach)
-	}
-	src.mu.Unlock()
 
 	s.mu.Lock()
 	delete(s.pending, lq)
 	if err == nil {
-		lq.id = s.nextID
+		lq.id, lq.lanes = s.nextID, attached
 		s.nextID++
 		s.queries[lq.id] = lq
 	}
@@ -853,66 +910,99 @@ func (s *Server) attach(tenant, sourceName, queryName string, backfill bool) (in
 		return 0, err
 	}
 	s.counters.Add("queries_attached", 1)
-	s.counters.Add("queries_attached:"+queryName, 1)
-	if backfill {
+	s.counters.Add("queries_attached:"+req.Query, 1)
+	if req.Backfill {
 		s.counters.Add("queries_backfilled", 1)
 	}
 	return lq.id, nil
 }
 
-// Detach removes a query and returns its final result.
-func (s *Server) Detach(id int) (*vqpy.Result, error) {
+// Detach removes a query from every lane it rides and returns the final
+// results keyed by source (one entry for a per-source query). tenant is
+// the caller; see Results.
+func (s *Server) Detach(tenant string, id int) (map[string]*vqpy.Result, error) {
+	_, res, err := s.read(tenant, id, true)
+	return res, err
+}
+
+// Results snapshots a live query's accumulated results, keyed by source
+// (one entry for a per-source query). tenant is the caller: on a
+// multi-tenant daemon a query answers only its owner, and anyone else
+// gets ErrNotFound like for an id that does not exist.
+func (s *Server) Results(tenant string, id int) (map[string]*vqpy.Result, error) {
+	_, res, err := s.read(tenant, id, false)
+	return res, err
+}
+
+// read is the one lookup behind Detach, Results and their handlers: it
+// resolves id on behalf of tenant and returns the registration with one
+// result per lane — live snapshots, or with take the finals of the
+// lanes it removes.
+func (s *Server) read(tenant string, id int, take bool) (*liveQuery, map[string]*vqpy.Result, error) {
 	if err := s.enter(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer s.inflight.Done()
 	s.mu.Lock()
-	q, ok := s.queries[id]
-	delete(s.queries, id)
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown query %d: %w", id, ErrNotFound)
+	q, err := s.lookupLocked(tenant, id)
+	if err == nil && take {
+		delete(s.queries, id)
 	}
-	res, err := s.detachLane(s.sources[q.source], q.lane)
+	s.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.counters.Add("queries_detached", 1)
-	return res, nil
-}
-
-// Results snapshots a live query's accumulated result.
-func (s *Server) Results(id int) (*vqpy.Result, error) {
-	return s.ResultsSince(id, 0)
-}
-
-// ResultsSince snapshots a live query's result with its frame hits
-// restricted to frame indices >= since — the delta-polling read path: a
-// client remembers the last frame it saw and asks only for what is new
-// (and a backfilled query can be asked for exactly its replayed
-// history). Aggregate fields (matched counts, video-level aggregation)
-// always reflect the whole residency; since <= 0 returns everything.
-func (s *Server) ResultsSince(id int, since int) (*vqpy.Result, error) {
-	if err := s.enter(); err != nil {
-		return nil, err
+	if q.fleet {
+		// Keeps the snapshots on one tick boundary, and the lanes from
+		// leaving some cameras a tick before the others.
+		s.fleet.mu.Lock()
+		defer s.fleet.mu.Unlock()
 	}
-	defer s.inflight.Done()
-	s.mu.Lock()
-	q, ok := s.queries[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown query %d: %w", id, ErrNotFound)
+	if take {
+		res, err := s.detachLanes(q.lanes)
+		if err == nil {
+			s.counters.Add("queries_detached", 1)
+		}
+		return q, res, err
 	}
 	s.counters.Add("results_read", 1)
-	// The mux's own lock orders the snapshot against the source's ticks.
-	res, err := s.sources[q.source].mux.Snapshot(q.lane)
-	if err != nil {
-		// The query was registered a moment ago, so its lane can only
-		// be missing because a concurrent Detach just took it.
-		return nil, fmt.Errorf("serve: query %d detached: %w", id, ErrNotFound)
+	res := make(map[string]*vqpy.Result, len(q.lanes))
+	for _, l := range q.lanes {
+		// The mux's own lock orders the snapshot against the source's ticks.
+		if res[l.source], err = s.sources[l.source].mux.Snapshot(l.lane); err != nil {
+			// The query was registered a moment ago, so its lane can only
+			// be missing because a concurrent Detach just took it.
+			return nil, nil, fmt.Errorf("serve: query %d detached: %w", id, ErrNotFound)
+		}
 	}
+	return q, res, nil
+}
+
+// lookupLocked resolves a live query id on behalf of a tenant — the one
+// place ownership is checked. Callers hold s.mu.
+func (s *Server) lookupLocked(tenant string, id int) (*liveQuery, error) {
+	st, err := s.resolveTenantLocked(tenant)
+	if err != nil {
+		return nil, err
+	}
+	q, ok := s.queries[id]
+	// Someone else's query reads as missing: its existence is not the
+	// caller's to learn.
+	if !ok || (st != nil && q.tenant != st.cfg.Name) {
+		return nil, fmt.Errorf("serve: unknown query %d: %w", id, ErrNotFound)
+	}
+	return q, nil
+}
+
+// hitsSince restricts a snapshot's frame hits to frame indices >= since
+// — the delta-polling read: a client remembers the last frame it saw and
+// asks only for what is new (and a backfilled query can be asked for
+// exactly its replayed history). Aggregate fields (matched counts,
+// video-level aggregation) always reflect the whole residency; since <=
+// 0 keeps everything. The snapshot's hit slice is a private copy, so it
+// is filtered in place.
+func hitsSince(res *vqpy.Result, since int) *vqpy.Result {
 	if since > 0 {
-		// The snapshot's hit slice is a private copy; filter in place.
 		kept := res.Hits[:0]
 		for _, h := range res.Hits {
 			if h.FrameIdx >= since {
@@ -921,7 +1011,7 @@ func (s *Server) ResultsSince(id int, since int) (*vqpy.Result, error) {
 		}
 		res.Hits = kept
 	}
-	return res, nil
+	return res
 }
 
 // Health is the GET /healthz payload. The endpoint always answers 200
@@ -1002,7 +1092,8 @@ type SourceStat struct {
 	Breakers       []fault.BreakerStat `json:"breakers,omitempty"`
 }
 
-// QueryStat is one live query's /streamz row.
+// QueryStat is one lane of a live query on /streamz: one row for a
+// per-source query, one per camera (same id) for a fleet-wide one.
 type QueryStat struct {
 	ID        int     `json:"id"`
 	Name      string  `json:"name"`
@@ -1104,7 +1195,7 @@ func (s *Server) Streamz() Stats {
 	st := Stats{
 		Counters: s.counters.Snapshot(),
 		Tenants:  s.tenantStatsLocked(),
-		Fleet:    s.fleetStatLocked(),
+		Fleet:    s.fleetStat(),
 		Sources:  make([]SourceStat, len(s.order)),
 	}
 	store, index := s.store, s.index
@@ -1114,7 +1205,9 @@ func (s *Server) Streamz() Stats {
 	}
 	for _, id := range sortedIDs(s.queries) {
 		q := s.queries[id]
-		st.Queries = append(st.Queries, QueryStat{ID: q.id, Name: q.name, Source: q.source, Tenant: q.tenant, Lane: q.lane, EstMS: q.estMS})
+		for _, l := range q.lanes {
+			st.Queries = append(st.Queries, QueryStat{ID: q.id, Name: q.name, Source: l.source, Tenant: q.tenant, Lane: l.lane, EstMS: l.estMS})
+		}
 	}
 	s.mu.Unlock()
 

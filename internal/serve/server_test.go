@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vqpy"
 )
 
 func testServer(t *testing.T, cfg Config, sources ...string) *Server {
@@ -28,6 +30,16 @@ func testServer(t *testing.T, cfg Config, sources ...string) *Server {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// cityflowResult reads the live result of a query riding cityflow.
+func cityflowResult(t *testing.T, s *Server, id int) *vqpy.Result {
+	t.Helper()
+	res, err := s.Results("", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res["cityflow"]
 }
 
 // TestServerAttachDetachFlow drives the whole serving flow in-process:
@@ -58,29 +70,29 @@ func TestServerAttachDetachFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := s.Results(red)
+	snaps, err := s.Results("", red)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.FramesProcessed != 10 {
+	if snap := snaps["cityflow"]; snap.FramesProcessed != 10 {
 		t.Errorf("live result frames = %d, want 10", snap.FramesProcessed)
 	}
 
-	final, err := s.Detach(plates)
+	finals, err := s.Detach("", plates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.FramesProcessed != 10 || final.Query != "Plates" {
+	if final := finals["cityflow"]; final.FramesProcessed != 10 || final.Query != "Plates" {
 		t.Errorf("final result = %s over %d frames", final.Query, final.FramesProcessed)
 	}
 	st = s.Streamz()
 	if got := st.Sources[0].GroupMembers; len(got) != 1 || got[0] != 1 {
 		t.Errorf("group members after detach = %v, want [1]", got)
 	}
-	if _, err := s.Detach(plates); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Detach("", plates); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double detach error = %v, want ErrNotFound", err)
 	}
-	if _, err := s.Results(red); err != nil {
+	if _, err := s.Results("", red); err != nil {
 		t.Errorf("surviving query unreadable after sibling detach: %v", err)
 	}
 	if got := s.counters.Get("queries_attached"); got != 2 {
@@ -269,10 +281,10 @@ func TestTickerRunsConcurrentlyWithAttach(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Results(id); err != nil {
+		if _, err := s.Results("", id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Detach(id); err != nil {
+		if _, err := s.Detach("", id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,10 +32,7 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := s.Results(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := cityflowResult(t, s, id)
 		st := s.Streamz()
 		return res.MatchedCount(), st.Sources[0].VirtualMS
 	}
@@ -69,7 +66,7 @@ func TestBackfillAttachOverStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	late, err := s.AttachNamedBackfill("cityflow", "plates")
+	late, err := s.Attach(AttachRequest{Source: "cityflow", Query: "plates", Backfill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +75,7 @@ func TestBackfillAttachOverStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resResident, err := s.Results(resident)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resLate, err := s.Results(late)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resResident, resLate := cityflowResult(t, s, resident), cityflowResult(t, s, late)
 	if resLate.FramesProcessed != resResident.FramesProcessed {
 		t.Errorf("backfilled query covers %d frames, resident covers %d",
 			resLate.FramesProcessed, resResident.FramesProcessed)
@@ -99,7 +89,7 @@ func TestBackfillAttachOverStore(t *testing.T) {
 // backfill attach is refused.
 func TestBackfillRequiresStore(t *testing.T) {
 	s := testServer(t, Config{})
-	if _, err := s.AttachNamedBackfill("cityflow", "redcar"); err == nil {
+	if _, err := s.Attach(AttachRequest{Source: "cityflow", Query: "redcar", Backfill: true}); err == nil {
 		t.Fatal("backfill without a store should fail")
 	}
 }
@@ -117,18 +107,12 @@ func TestResultsSinceFiltersHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := s.Results(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := cityflowResult(t, s, id)
 	if len(full.Hits) < 2 {
 		t.Fatalf("workload produced %d hits; need at least 2 to split", len(full.Hits))
 	}
 	cut := full.Hits[len(full.Hits)/2].FrameIdx
-	delta, err := s.ResultsSince(id, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := hitsSince(cityflowResult(t, s, id), cut)
 	if len(delta.Hits) == 0 || len(delta.Hits) >= len(full.Hits) {
 		t.Fatalf("since=%d returned %d of %d hits", cut, len(delta.Hits), len(full.Hits))
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func attachUntilBudget(t *testing.T, s *Server, tenant, queryName string) int {
 		if n > 100 {
 			t.Fatalf("tenant %s: no budget rejection after %d attaches", tenant, n)
 		}
-		_, err := s.AttachNamedAs(tenant, "cityflow", queryName, false)
+		_, err := s.Attach(AttachRequest{Tenant: tenant, Source: "cityflow", Query: queryName})
 		if err == nil {
 			continue
 		}
@@ -79,7 +80,7 @@ func TestTenantAdmissionFairness(t *testing.T) {
 	}
 
 	// The rejection carries the tenant's slice, not the whole budget.
-	_, err := s.AttachNamedAs("free", "cityflow", "redcar", false)
+	_, err := s.Attach(AttachRequest{Tenant: "free", Source: "cityflow", Query: "redcar"})
 	var tb *ErrTenantBudget
 	if !errors.As(err, &tb) {
 		t.Fatalf("err = %v, want ErrTenantBudget", err)
@@ -129,7 +130,7 @@ func TestTenantAdmissionConcurrent(t *testing.T) {
 			go func(tenant string) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if _, err := s.AttachNamedAs(tenant, "cityflow", "redcar", false); err == nil {
+					if _, err := s.Attach(AttachRequest{Tenant: tenant, Source: "cityflow", Query: "redcar"}); err == nil {
 						mu.Lock()
 						*admitted[tenant]++
 						mu.Unlock()
@@ -243,7 +244,7 @@ func TestApplyOpsReload(t *testing.T) {
 		t.Error("removed tenant still resolves")
 	}
 	// The new budget governs admission: gold now owns all of 40ms.
-	_, err := s.AttachNamedAs("gold", "cityflow", "people", false)
+	_, err := s.Attach(AttachRequest{Tenant: "gold", Source: "cityflow", Query: "people"})
 	var tb *ErrTenantBudget
 	if errors.As(err, &tb) && tb.SliceMS != 40 {
 		t.Errorf("post-reload slice = %g, want 40", tb.SliceMS)
@@ -282,9 +283,9 @@ func TestApplyOpsRace(t *testing.T) {
 					return
 				default:
 				}
-				id, err := s.AttachNamedAs(tenant, "cityflow", "redcar", false)
+				id, err := s.Attach(AttachRequest{Tenant: tenant, Source: "cityflow", Query: "redcar"})
 				if err == nil {
-					_, _ = s.Detach(id)
+					_, _ = s.Detach(tenant, id)
 				}
 				_ = s.TenantGate(tenant)
 			}
@@ -411,7 +412,7 @@ func TestHTTPMetrics(t *testing.T) {
 		BudgetMS: 80,
 		Tenants:  []config.Tenant{{Name: "gold", Share: 3}, {Name: "free", Share: 1}},
 	})
-	if _, err := s.AttachNamedAs("gold", "cityflow", "redcar", false); err != nil {
+	if _, err := s.Attach(AttachRequest{Tenant: "gold", Source: "cityflow", Query: "redcar"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.StepAll(); err != nil {
@@ -465,10 +466,10 @@ func TestHTTPMetrics(t *testing.T) {
 // HTTP, covered by TestHTTPAdmission503) and /metrics still serves.
 func TestSingleTenantBackCompat(t *testing.T) {
 	s := testServer(t, Config{BudgetMS: 40})
-	if _, err := s.AttachNamedAs("ignored-name", "cityflow", "redcar", false); err != nil {
+	if _, err := s.Attach(AttachRequest{Tenant: "ignored-name", Source: "cityflow", Query: "redcar"}); err != nil {
 		t.Fatalf("single-tenant attach with a tenant name: %v", err)
 	}
-	_, err := s.AttachNamedAs("", "cityflow", "people", false)
+	_, err := s.Attach(AttachRequest{Tenant: "", Source: "cityflow", Query: "people"})
 	var adm *ErrAdmission
 	if !errors.As(err, &adm) {
 		t.Fatalf("err = %v, want ErrAdmission (503 shape)", err)
@@ -485,5 +486,67 @@ func TestSingleTenantBackCompat(t *testing.T) {
 		if strings.HasPrefix(f.Name, "vqserve_tenant_") && len(f.Samples) > 0 {
 			t.Errorf("single-tenant mode exports tenant gauges: %s", f.Name)
 		}
+	}
+}
+
+// TestTenantIsolationOnReadsAndDetaches: on a multi-tenant daemon a
+// query answers only the tenant that attached it — another tenant's
+// poll or DELETE of the same id gets the 404 of an id that does not
+// exist, and the query stays attached. Covers a one-lane and a
+// fleet-wide query; single-tenant mode keeps ignoring the header.
+func TestTenantIsolationOnReadsAndDetaches(t *testing.T) {
+	tenants := []config.Tenant{{Name: "gold", Share: 1}, {Name: "free", Share: 1}}
+	s := testServer(t, Config{FleetCams: 2, Tenants: tenants})
+	h := s.Handler()
+	do := func(method, path, tenant string) int {
+		t.Helper()
+		r := httptest.NewRequest(method, path, nil)
+		r.Header.Set("X-Tenant", tenant)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code == http.StatusNotFound && !strings.Contains(w.Body.String(), "unknown query") {
+			t.Errorf("%s %s as %s: 404 body %q leaks more than an unknown id does", method, path, tenant, w.Body.String())
+		}
+		return w.Code
+	}
+
+	one, err := s.Attach(AttachRequest{Tenant: "gold", Source: s.SourceNamesRegistered()[0], Query: "people"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := s.Attach(AttachRequest{Tenant: "gold", Query: "people", Fleet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.StepAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{one, wide} {
+		results := "/queries/" + strconv.Itoa(id) + "/results"
+		if code := do("GET", results, "free"); code != http.StatusNotFound {
+			t.Errorf("free polled gold's query %d: %d, want 404", id, code)
+		}
+		if code := do("DELETE", "/queries/"+strconv.Itoa(id), "free"); code != http.StatusNotFound {
+			t.Errorf("free detached gold's query %d: %d, want 404", id, code)
+		}
+		if code := do("GET", results, "gold"); code != http.StatusOK {
+			t.Errorf("gold polled its own query %d: %d, want 200", id, code)
+		}
+		if code := do("DELETE", "/queries/"+strconv.Itoa(id), "gold"); code != http.StatusOK {
+			t.Errorf("gold detached its own query %d: %d, want 200", id, code)
+		}
+	}
+	if code := do("GET", "/queries/99/results", "free"); code != http.StatusNotFound {
+		t.Errorf("missing id: %d, want 404", code)
+	}
+
+	single := testServer(t, Config{})
+	id, err := single.AttachNamed("cityflow", "redcar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = single.Handler()
+	if code := do("GET", "/queries/"+strconv.Itoa(id)+"/results", "anyone"); code != http.StatusOK {
+		t.Errorf("single-tenant poll with a tenant header: %d, want 200", code)
 	}
 }

@@ -12,17 +12,19 @@ import (
 	"vqpy"
 )
 
-// TextRequest is one synchronous language query.
+// TextRequest is one synchronous language query, and the POST /queries
+// body of the "text" mode.
 type TextRequest struct {
 	// Source names the stream whose fed frames answer the query.
-	Source string
+	Source string `json:"source"`
 	// Text is the query sentence, e.g. "red car stopped for 2 seconds".
-	Text string
-	// Eager asks the verifier on every frame instead of lazily.
-	Eager bool
+	Text string `json:"text"`
+	// Eager asks the verifier on every frame instead of lazily (the
+	// parity baseline).
+	Eager bool `json:"eager,omitempty"`
 	// Tenant is who the query's virtual cost is billed to; ignored in
 	// single-tenant mode.
-	Tenant string
+	Tenant string `json:"-"`
 }
 
 // TextSummary is the wire-level text-query reply.
