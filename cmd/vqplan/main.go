@@ -1,12 +1,12 @@
-// Command vqplan explains query plans: it prints every candidate DAG the
-// planner enumerates for a query, the canary profiling results (cost and
-// F1 against the most general plan), and which plan was selected — the
-// §4.3 machinery made visible. The default query is the Figure 9/10
-// example (suspect getting into a red car).
+// Command vqplan explains a query plan: it prints every candidate DAG the
+// planner enumerates for the red-car query (Session.Explain), the canary
+// profiling results (cost and F1 against the most general plan), and
+// which plan was selected — the §4.3 machinery made visible. The
+// Figure 9/10 suspect DAG is `vqbench -exp dag`.
 //
 // Usage:
 //
-//	vqplan [-query suspect|redcar] [-seed N] [-target F]
+//	vqplan [-seed N] [-target F]
 package main
 
 import (
@@ -15,51 +15,34 @@ import (
 	"os"
 
 	"vqpy"
-
-	"vqpy/internal/bench"
 )
 
 func main() {
-	query := flag.String("query", "suspect", "query to explain (suspect, redcar)")
 	seed := flag.Uint64("seed", 42, "seed")
 	target := flag.Float64("target", 0.9, "planner accuracy target")
 	flag.Parse()
 
-	switch *query {
-	case "suspect":
-		out, err := bench.ExplainSuspectDAG(bench.Config{Seed: *seed, Scale: 0.5})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vqplan: %v\n", err)
-			os.Exit(1)
+	s := vqpy.NewSession(*seed)
+	s.SetNoBurn(true)
+	v := vqpy.GenerateVideo(vqpy.DatasetCityFlow(*seed, 60))
+	q := vqpy.NewQuery("RedCarPlanned").
+		Use("car", vqpy.RedCar()).
+		Where(vqpy.And(
+			vqpy.P("car", vqpy.PropScore).Gt(0.5),
+			vqpy.P("car", "color").Eq("red"),
+		)).
+		FrameOutput(vqpy.Sel("car", vqpy.PropTrackID))
+	best, all, err := s.Explain(q, v, vqpy.WithAccuracyTarget(*target))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vqplan: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("%d candidate plans (accuracy target %.2f):\n\n", len(all), *target)
+	for _, p := range all {
+		marker := "   "
+		if p == best {
+			marker = ">> "
 		}
-		fmt.Println(out)
-	case "redcar":
-		s := vqpy.NewSession(*seed)
-		s.SetNoBurn(true)
-		v := vqpy.GenerateVideo(vqpy.DatasetCityFlow(*seed, 60))
-		car := vqpy.RedCar()
-		q := vqpy.NewQuery("RedCarPlanned").
-			Use("car", car).
-			Where(vqpy.And(
-				vqpy.P("car", vqpy.PropScore).Gt(0.5),
-				vqpy.P("car", "color").Eq("red"),
-			)).
-			FrameOutput(vqpy.Sel("car", vqpy.PropTrackID))
-		best, all, err := s.Explain(q, v, vqpy.WithAccuracyTarget(*target))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vqplan: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%d candidate plans (accuracy target %.2f):\n\n", len(all), *target)
-		for _, p := range all {
-			marker := "   "
-			if p == best {
-				marker = ">> "
-			}
-			fmt.Printf("%s%s  est_cost=%.1fms  est_f1=%.3f\n%s\n", marker, p.Label, p.EstCostMS, p.EstF1, p)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "vqplan: unknown query %q\n", *query)
-		os.Exit(2)
+		fmt.Printf("%s%s  est_cost=%.1fms  est_f1=%.3f\n%s\n", marker, p.Label, p.EstCostMS, p.EstF1, p)
 	}
 }

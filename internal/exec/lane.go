@@ -279,15 +279,15 @@ func (e *Executor) feed(sink frameSink, src video.FrameSource, from, to, stride 
 	return nil
 }
 
-// Run executes the plan over the whole video: the offline batch mode of
+// Run executes the plan over the whole source: the offline batch mode of
 // §4.1, a thin driver over the streaming path so both modes share one
 // implementation.
-func (e *Executor) Run(p *Plan, v *video.Video) (*Result, error) {
-	st, err := e.OpenStream(p, v.FPS)
+func (e *Executor) Run(p *Plan, src video.FrameSource) (*Result, error) {
+	st, err := e.OpenStream(p, src.SourceFPS())
 	if err != nil {
 		return nil, err
 	}
-	if err := e.feed(st, v, 0, len(v.Frames), 1); err != nil {
+	if err := e.feed(st, src, 0, src.NumFrames(), 1); err != nil {
 		return nil, err
 	}
 	return st.Close(), nil

@@ -194,10 +194,17 @@ func (k labelKey) shard() int {
 // flight is one in-progress computation other goroutines can wait on
 // (the single-flight guard: when two queries need the same detector
 // output concurrently, exactly one pays the model cost).
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
+}
+
+// flightMap is one shard's cached values of one kind plus the
+// computations in progress for keys not cached yet.
+type flightMap[K comparable, V any] struct {
+	vals    map[K]V
+	flights map[K]*flight[V]
 }
 
 // SharedCache implements query-level computation reuse (§4.2 end, §5.3
@@ -215,67 +222,70 @@ type SharedCache struct {
 }
 
 type cacheShard struct {
-	mu          sync.Mutex
-	detects     map[detKey][]track.Detection
-	labels      map[labelKey]any
-	detFlight   map[detKey]*flight
-	labelFlight map[labelKey]*flight
+	mu      sync.Mutex
+	detects flightMap[detKey, []track.Detection]
+	labels  flightMap[labelKey, any]
 }
 
 // NewSharedCache returns an empty cross-query cache.
 func NewSharedCache() *SharedCache {
 	c := &SharedCache{}
 	for i := range c.shards {
-		c.shards[i].detects = make(map[detKey][]track.Detection)
-		c.shards[i].labels = make(map[labelKey]any)
+		c.shards[i].detects.vals = make(map[detKey][]track.Detection)
+		c.shards[i].labels.vals = make(map[labelKey]any)
 	}
 	return c
 }
 
+// cached is the one hit → join-flight → compute → publish body behind
+// DoDetections and DoLabel: it returns m's value for k or computes,
+// caches and returns it. Concurrent callers missing on the same key are
+// deduplicated: one runs compute, the rest wait and share its output
+// (and its error, which is not cached). mu guards m.
+func cached[K comparable, V any](c *SharedCache, mu *sync.Mutex, m *flightMap[K, V], k K, compute func() (V, error)) (V, error) {
+	mu.Lock()
+	if v, ok := m.vals[k]; ok {
+		mu.Unlock()
+		c.hits.Add(1)
+		return v, nil
+	}
+	if f, ok := m.flights[k]; ok {
+		mu.Unlock()
+		<-f.done
+		if f.err == nil {
+			c.hits.Add(1)
+		}
+		return f.val, f.err
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	if m.flights == nil {
+		m.flights = make(map[K]*flight[V])
+	}
+	m.flights[k] = f
+	mu.Unlock()
+	c.miss.Add(1)
+
+	f.val, f.err = compute()
+	mu.Lock()
+	if f.err == nil {
+		m.vals[k] = f.val
+	}
+	delete(m.flights, k)
+	mu.Unlock()
+	close(f.done)
+	return f.val, f.err
+}
+
 // DoDetections returns the cached detector output for (model, frame) or
-// computes, caches and returns it. Concurrent callers missing on the same
-// key are deduplicated: one runs compute, the rest wait and share its
-// output (and its error, which is not cached). A nil cache degenerates to
-// calling compute directly.
+// computes, caches and returns it, single-flighted (see cached). A nil
+// cache degenerates to calling compute directly.
 func (c *SharedCache) DoDetections(model string, frame int, compute func() ([]track.Detection, error)) ([]track.Detection, error) {
 	if c == nil {
 		return compute()
 	}
 	k := detKey{model, frame}
 	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	if dets, ok := sh.detects[k]; ok {
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return dets, nil
-	}
-	if f, ok := sh.detFlight[k]; ok {
-		sh.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		c.hits.Add(1)
-		return f.val.([]track.Detection), nil
-	}
-	f := &flight{done: make(chan struct{})}
-	if sh.detFlight == nil {
-		sh.detFlight = make(map[detKey]*flight)
-	}
-	sh.detFlight[k] = f
-	sh.mu.Unlock()
-	c.miss.Add(1)
-
-	dets, err := compute()
-	f.val, f.err = dets, err
-	sh.mu.Lock()
-	if err == nil {
-		sh.detects[k] = dets
-	}
-	delete(sh.detFlight, k)
-	sh.mu.Unlock()
-	close(f.done)
-	return dets, err
+	return cached(c, &sh.mu, &sh.detects, k, compute)
 }
 
 // DoLabel returns the cached classification for (model, frame, box,
@@ -288,39 +298,7 @@ func (c *SharedCache) DoLabel(model string, frame int, box geom.BBox, truthID in
 	}
 	k := makeLabelKey(model, frame, box, truthID)
 	sh := &c.shards[k.shard()]
-	sh.mu.Lock()
-	if v, ok := sh.labels[k]; ok {
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return v, nil
-	}
-	if f, ok := sh.labelFlight[k]; ok {
-		sh.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		c.hits.Add(1)
-		return f.val, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	if sh.labelFlight == nil {
-		sh.labelFlight = make(map[labelKey]*flight)
-	}
-	sh.labelFlight[k] = f
-	sh.mu.Unlock()
-	c.miss.Add(1)
-
-	v, err := compute()
-	f.val, f.err = v, err
-	sh.mu.Lock()
-	if err == nil {
-		sh.labels[k] = v
-	}
-	delete(sh.labelFlight, k)
-	sh.mu.Unlock()
-	close(f.done)
-	return v, err
+	return cached(c, &sh.mu, &sh.labels, k, compute)
 }
 
 // Stats returns (hits, misses).

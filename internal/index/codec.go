@@ -1,33 +1,13 @@
 package index
 
-// On-disk framing of the index's segment log, mirroring the store's
-// codec (internal/store/codec.go): every record is
-//
-//	[4-byte big-endian payload length][4-byte CRC32-IEEE][gob payload]
-//
-// so each record is independently verifiable and decodable. The opener
-// distinguishes a torn tail (truncated framing — nothing beyond it can
-// be trusted, the logical log ends there) from a corrupt record (framing
-// intact but the payload fails its CRC or gob decode — skip just that
-// record and keep going), the same recovery contract the store's tiers
-// implement.
-
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
+// The records of the index's segment log. Framing, checksums and the
+// recovery scan belong to internal/reclog — the same log the store's
+// tiers sit on; every record is one gob-encoded segRecord frame.
 
 // maxSegRecordBytes bounds a single segment record. An entry is one
 // 16-dim embedding plus keys — far under a kilobyte — so anything larger
 // in the length header is corruption.
 const maxSegRecordBytes = 1 << 20
-
-// segHeaderBytes is the fixed framing prefix: length + CRC.
-const segHeaderBytes = 8
 
 // Segment record kinds: an indexed object entry, or a coverage
 // watermark advancing one (source, signature)'s contiguous prefix.
@@ -50,45 +30,4 @@ type coverageRec struct {
 	Source string
 	Sig    string
 	Upto   int
-}
-
-// encodeSegRecord frames one record for the log.
-func encodeSegRecord(rec *segRecord) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return nil, err
-	}
-	blob := body.Bytes()
-	out := make([]byte, segHeaderBytes+len(blob))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(blob)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(blob))
-	copy(out[segHeaderBytes:], blob)
-	return out, nil
-}
-
-// decodeSegRecord decodes one framed blob, verifying the CRC.
-func decodeSegRecord(blob []byte, crc uint32) (*segRecord, error) {
-	if crc32.ChecksumIEEE(blob) != crc {
-		return nil, fmt.Errorf("index: record checksum mismatch")
-	}
-	var rec segRecord
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
-// readSegHeader reads one record header at off. io.EOF (clean end) and
-// io.ErrUnexpectedEOF (truncated header) are returned unwrapped so the
-// opener can distinguish them from decode failures.
-func readSegHeader(r io.ReaderAt, off int64) (length uint32, crc uint32, err error) {
-	var hdr [segHeaderBytes]byte
-	n, err := r.ReadAt(hdr[:], off)
-	if n == 0 && err == io.EOF {
-		return 0, 0, io.EOF
-	}
-	if n < segHeaderBytes {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	return binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8]), nil
 }

@@ -19,6 +19,9 @@ import (
 	"vqpy/internal/video"
 )
 
+// frameHeaderBytes is reclog's frame header (length + CRC).
+const frameHeaderBytes = 8
+
 func segmentsPath(dir string) string { return filepath.Join(dir, segmentsName) }
 
 func TestCorruptRecordVoidsCoverage(t *testing.T) {
@@ -41,7 +44,7 @@ func TestCorruptRecordVoidsCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[segHeaderBytes+2] ^= 0xFF
+	blob[frameHeaderBytes+2] ^= 0xFF
 	if err := os.WriteFile(segmentsPath(dir), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}

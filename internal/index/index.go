@@ -17,19 +17,16 @@
 // tracks span (exec.RunIndexVerify) and falls back to full rescan for
 // frames beyond the extracted coverage prefix.
 //
-// Durability mirrors the store: one append-only CRC-framed segment log,
-// corrupt records skipped and torn tails truncated at open, and a
-// manifest that invalidates the whole index when the seed, zoo version
-// or embedder model do not match — embeddings are model outputs, so
-// under a different identity they are wrong, not stale.
+// Durability is the store's, literally: the segment log is an
+// internal/reclog log (CRC-framed records, corrupt records skipped and
+// torn tails truncated at open), behind a reclog manifest that
+// invalidates the whole index when the seed, zoo version or embedder
+// model do not match — embeddings are model outputs, so under a
+// different identity they are wrong, not stale.
 package index
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,6 +34,7 @@ import (
 
 	"vqpy/internal/metrics"
 	"vqpy/internal/models"
+	"vqpy/internal/reclog"
 )
 
 // FormatVersion identifies the on-disk layout; indexes written by other
@@ -130,8 +128,7 @@ type Index struct {
 	dir  string
 	meta Meta
 
-	f       *os.File
-	size    int64
+	log     *reclog.Log
 	memOnly bool
 
 	entries map[string]*Entry       // source ⨯ sig ⨯ class ⨯ track
@@ -148,10 +145,8 @@ type Index struct {
 	closed   bool
 }
 
-const (
-	manifestName = "manifest.json"
-	segmentsName = "segments.log"
-)
+// segmentsName is the segment log file inside the index directory.
+const segmentsName = "segments.log"
 
 func entryKey(source, sig string, class, track int) string {
 	return fmt.Sprintf("%s\x00%s\x00%d\x00%d", source, sig, class, track)
@@ -170,7 +165,8 @@ func coverKey(source, sig string) string {
 // zoo version or embedder is invalidated: its segment log is removed
 // and the index starts empty (counter "invalidated"). Corrupt log
 // records are skipped with a warning (counter "corrupt_records") and a
-// torn tail is truncated, mirroring the store's recovery contract.
+// torn tail is truncated — reclog's recovery contract, shared with the
+// store's tiers.
 func Open(dir string, meta Meta) (*Index, error) {
 	if meta.Version == 0 {
 		meta.Version = FormatVersion
@@ -186,91 +182,35 @@ func Open(dir string, meta Meta) (*Index, error) {
 		counters: metrics.NewCounters(),
 	}
 
-	manifestPath := filepath.Join(dir, manifestName)
-	if blob, err := os.ReadFile(manifestPath); err == nil {
-		var have Meta
-		if json.Unmarshal(blob, &have) != nil || have != meta {
-			// Wrong identity: every persisted embedding was computed by a
-			// different model world and must not be served. As in the
-			// store, a failed removal fails the open — rewriting the
-			// manifest over surviving segments would bless them forever.
-			x.counters.Add("invalidated", 1)
-			x.warnings = append(x.warnings, fmt.Sprintf(
-				"index: %s: manifest %+v does not match %+v; invalidating", dir, have, meta))
-			if err := os.Remove(filepath.Join(dir, segmentsName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("index: invalidating %s: %w", segmentsName, err)
+	// Wrong identity: every persisted embedding was computed by a
+	// different model world and must not be served.
+	warning, err := reclog.CheckManifest(dir, "index", meta, segmentsName)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	if warning != "" {
+		x.counters.Add("invalidated", 1)
+		x.warnings = append(x.warnings, warning)
+	}
+
+	// Replay the segment log: entries are inserted (and partitioned) in
+	// append order, coverage watermarks applied monotonically.
+	log, rec, err := reclog.Open(filepath.Join(dir, segmentsName), "index", maxSegRecordBytes,
+		func(_ int64, frame []byte) error {
+			var r segRecord
+			if err := reclog.Decode(frame, &r); err != nil {
+				return err
 			}
-		}
-	}
-	blob, err := json.Marshal(meta)
+			x.applyRecord(&r)
+			return nil
+		})
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	if err := os.WriteFile(manifestPath, append(blob, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-
-	if err := x.openLog(); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// openLog opens the segment log and replays it: entries are inserted
-// (and partitioned) in append order, coverage watermarks applied
-// monotonically. Framing recovery matches the store's tiers: a torn or
-// garbage header ends the logical log there; a record whose framing is
-// intact but whose payload fails its CRC or decode is skipped alone.
-func (x *Index) openLog() error {
-	path := filepath.Join(x.dir, segmentsName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("index: %w", err)
-	}
-	x.f = f
-	fileSize := st.Size()
-	off := int64(0)
-	for off < fileSize {
-		length, crc, err := readSegHeader(f, off)
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF || int64(length) > maxSegRecordBytes ||
-			off+segHeaderBytes+int64(length) > fileSize {
-			x.warnings = append(x.warnings, fmt.Sprintf(
-				"index: truncating torn tail at offset %d (file size %d)", off, fileSize))
-			x.counters.Add("torn_tail_truncated", 1)
-			break
-		}
-		blob := make([]byte, length)
-		if _, err := f.ReadAt(blob, off+segHeaderBytes); err != nil {
-			x.warnings = append(x.warnings, fmt.Sprintf(
-				"index: unreadable record at offset %d: %v", off, err))
-			x.counters.Add("torn_tail_truncated", 1)
-			break
-		}
-		recOff := off
-		off += segHeaderBytes + int64(length)
-		rec, err := decodeSegRecord(blob, crc)
-		if err != nil {
-			x.warnings = append(x.warnings, fmt.Sprintf(
-				"index: skipping corrupt record at offset %d: %v", recOff, err))
-			x.counters.Add("corrupt_records", 1)
-			continue
-		}
-		x.applyRecord(rec)
-	}
-	x.size = off
-	if off < fileSize {
-		if err := f.Truncate(off); err != nil {
-			x.warnings = append(x.warnings, fmt.Sprintf("index: truncate failed: %v", err))
-		}
-	}
+	x.log = log
+	x.warnings = append(x.warnings, rec.Warnings...)
+	x.counters.Add("torn_tail_truncated", int64(rec.Torn))
+	x.counters.Add("corrupt_records", int64(rec.Corrupt))
 	// A mid-log corrupt record may have been an entry whose later
 	// coverage record survived — coverage claiming a track the index
 	// lost would make the probe path silently miss its frames. Entries
@@ -281,12 +221,12 @@ func (x *Index) openLog() error {
 	// append-ordered with each pass's coverage record written after its
 	// entries, so a lost suffix always loses the coverage claim before
 	// the entries it covered.
-	if x.counters.Get("corrupt_records") > 0 && len(x.covered) > 0 {
+	if rec.Corrupt > 0 && len(x.covered) > 0 {
 		x.covered = make(map[string]int)
 		x.warnings = append(x.warnings,
 			"index: corrupt record voided coverage; re-extract to re-establish the probe path")
 	}
-	return nil
+	return x, nil
 }
 
 // applyRecord folds one replayed (or freshly appended) record into the
@@ -351,9 +291,9 @@ func (x *Index) appendLocked(rec *segRecord) {
 		x.counters.Add("puts_mem_only", 1)
 		return
 	}
-	framed, err := encodeSegRecord(rec)
+	framed, err := reclog.Encode(rec)
 	if err == nil {
-		_, err = x.f.WriteAt(framed, x.size)
+		_, err = x.log.Append(framed)
 	}
 	if err != nil {
 		x.memOnly = true
@@ -362,7 +302,6 @@ func (x *Index) appendLocked(rec *segRecord) {
 			"index: append failed (%v); index degraded to memory-only", err))
 		return
 	}
-	x.size += int64(len(framed))
 	x.counters.Add("records_appended", 1)
 }
 
@@ -376,11 +315,7 @@ func (x *Index) Close() error {
 	}
 	x.closed = true
 	x.memOnly = true
-	if err := x.f.Sync(); err != nil {
-		x.f.Close()
-		return err
-	}
-	return x.f.Close()
+	return x.log.Close()
 }
 
 // Dir returns the index's root directory.

@@ -113,6 +113,7 @@ func repoDocPaths(t *testing.T) []string {
 		filepath.Join(root, "internal/exec"),
 		filepath.Join(root, "internal/serve"),
 		filepath.Join(root, "internal/store"),
+		filepath.Join(root, "internal/reclog"),
 		filepath.Join(root, "internal/lint"),
 		filepath.Join(root, "internal/fleet"),
 		filepath.Join(root, "internal/video"),

@@ -160,34 +160,6 @@ func fidelitySatisfies(c FidelityCandidate, target float64) bool {
 	return target < 1 && c.Accuracy >= target
 }
 
-// fidelityPlan compiles q the one canonical way every fidelity path
-// must agree on: memoization off and no plan cache (like searchPlan),
-// plus no frame filters and no specialized detectors — the scan prefix
-// must be exactly detect→track so every tier of the lattice archives
-// the same frames and differs only by its declared (stride, res,
-// detector). The plan must also be fidelity-replayable: shareable
-// prefix, per-frame-pure residual (the IndexVerifiable gate).
-func (pl *Planner) fidelityPlan(q *core.Query, src video.FrameSource) (*exec.Plan, exec.ScanSig, error) {
-	opts := pl.opts
-	opts.DisableMemo = true
-	opts.PlanCache = nil
-	opts.DisableSpecialized = true
-	opts.DisableFrameFilters = true
-	inner := &Planner{opts: opts.withDefaults()}
-	p, _, err := inner.PlanBasic(q, canaryOf(src))
-	if err != nil {
-		return nil, exec.ScanSig{}, err
-	}
-	sig := exec.ScanPrefixOf(p)
-	if !sig.Shareable {
-		return nil, exec.ScanSig{}, fmt.Errorf("plan: query %q has no shareable scan prefix to archive fidelities under", q.Name())
-	}
-	if !exec.IndexVerifiable(p) {
-		return nil, exec.ScanSig{}, fmt.Errorf("plan: query %q is not fidelity-servable (stateful residual operators)", q.Name())
-	}
-	return p, sig, nil
-}
-
 // tierPlanOf derives the archive-pass plan for one fidelity: the same
 // pipeline with the detect step swapped to the tier's detector and the
 // scan signature decorated with the fidelity key, so tier records can
@@ -225,7 +197,7 @@ func (pl *Planner) ArchiveFidelity(q *core.Query, src video.FrameSource, fid vid
 	if pl.opts.Store == nil {
 		return store.FidelityEntry{}, fmt.Errorf("plan: ArchiveFidelity requires Options.Store")
 	}
-	base, _, err := pl.fidelityPlan(q, src)
+	base, _, err := pl.archivePlan(q, src, true)
 	if err != nil {
 		return store.FidelityEntry{}, err
 	}
@@ -236,23 +208,10 @@ func (pl *Planner) ArchiveFidelity(q *core.Query, src video.FrameSource, fid vid
 	sig := exec.ScanPrefixOf(tier)
 	source := src.SourceName()
 
-	ex, err := exec.NewExecutor(exec.Options{
-		Env: pl.opts.Env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
-		Store: pl.opts.Store, StoreSource: source,
-	})
-	if err != nil {
-		return store.FidelityEntry{}, err
-	}
-	m, err := ex.OpenMux([]*exec.Plan{tier}, src.SourceFPS())
-	if err != nil {
-		return store.FidelityEntry{}, err
-	}
-	m.BindStore(pl.opts.Store, src)
 	stride := fid.NormStride()
-	if err := m.FeedRange(src, 0, upto, stride); err != nil {
+	if _, err := pl.archivePass(tier, src, upto, stride); err != nil {
 		return store.FidelityEntry{}, err
 	}
-	m.Close()
 
 	acc, err := pl.calibrateFidelity(src, fid, int(sig.Class), upto)
 	if err != nil {
@@ -346,7 +305,7 @@ func (pl *Planner) PlanFidelity(q *core.Query, src video.FrameSource, frames int
 	if pl.opts.Store == nil {
 		return nil, nil, fmt.Errorf("plan: PlanFidelity requires Options.Store")
 	}
-	base, sig, err := pl.fidelityPlan(q, src)
+	base, sig, err := pl.archivePlan(q, src, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -415,17 +374,10 @@ func (pl *Planner) RunFidelity(q *core.Query, src video.FrameSource, frames int)
 	n := d.Frames
 	env := pl.opts.Env
 	clockBefore := env.Clock.TotalMS()
-	ex, err := exec.NewExecutor(exec.Options{
-		Env: env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
-		Store: pl.opts.Store, StoreSource: src.SourceName(),
-	})
-	if err != nil {
-		return nil, err
-	}
 	out := &FidelityResult{Query: q.Name(), Decision: d}
 	chosen := d.ChosenCandidate()
 	if chosen.Live {
-		r, err := runSearchFull(ex, base, pl.opts.Store, src, n)
+		r, err := pl.archivePass(base, src, n, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -433,6 +385,10 @@ func (pl *Planner) RunFidelity(q *core.Query, src video.FrameSource, frames int)
 		out.ResidualFrames = n
 	} else {
 		covered := chosen.Covered
+		ex, err := pl.executor(src.SourceName())
+		if err != nil {
+			return nil, err
+		}
 		r, stats, err := ex.RunFidelityReplay(base, src, chosen.ScanKey, chosen.Detector, chosen.Stride, covered, n)
 		if err != nil {
 			return nil, err

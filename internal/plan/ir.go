@@ -2,16 +2,16 @@ package plan
 
 // This file is the unified logical operator IR every frontend compiles
 // into — the object-oriented core.Query API (with its event
-// combinators), sqlbase SELECTs over video tables, and the CLI all
-// produce the same representation:
+// combinators), vql text queries, and the CLI all produce the same
+// representation:
 //
 //	Scan(source) → FrameFilter* → Detect → Track → Prop* → Filter* → Output
 //
 // wrapped in a combinator tree (QueryIR) for duration/temporal events.
 // A compiled workload can then be executed two ways by the physical
-// layer:
+// layer (executeLeaves, under the one batch driver in run.go):
 //
-//   - per query (executeIR): each basic pipeline scans the video itself,
+//   - per query (Run, RunAll): each basic pipeline scans the video itself,
 //     the pre-shared-scan behaviour that RunAll parallelizes;
 //   - shared scan (RunShared): exec.MuxStream groups pipelines whose
 //     scan prefixes are structurally identical — same frame-filter
@@ -182,27 +182,48 @@ func (pl *Planner) compileBasic(q *core.Query, name string, canary *video.Video)
 	return &QueryIR{Name: name, Kind: IRBasic, Basic: &BasicIR{Query: q, Plan: p}}, nil
 }
 
-// executeIR runs a compiled node per query — every basic leaf performs
-// its own scan of the video — and combines leaf results with the event
-// semantics of §3. This is the physical strategy behind Run and RunAll.
-func (pl *Planner) executeIR(ir *QueryIR, v *video.Video) (*RunResult, error) {
-	leaves := ir.Leaves(nil)
-	leafRes := make(map[*BasicIR]*exec.Result, len(leaves))
-	for _, leaf := range leaves {
-		ex, err := exec.NewExecutor(exec.Options{
-			Env: pl.opts.Env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
-			Store: pl.opts.Store, StoreSource: v.Name,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := ex.Run(leaf.Plan, v)
-		if err != nil {
-			return nil, err
-		}
-		leafRes[leaf] = res
+// executor returns an execution executor bound to the session's
+// environment, cross-query cache and result store, archiving under the
+// given source name. (Profiling executors are built separately in
+// profileOne: they must never see the store.)
+func (pl *Planner) executor(source string) (*exec.Executor, error) {
+	return exec.NewExecutor(exec.Options{
+		Env: pl.opts.Env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
+		Store: pl.opts.Store, StoreSource: source,
+	})
+}
+
+// executeLeaves is the physical layer under every batch driver: it runs
+// the compiled basic pipelines over src and returns their executor
+// results keyed by leaf. Per query (shared false) every leaf performs
+// its own scan of the source; shared, exec.RunMux multiplexes all of
+// them over one pass.
+func (pl *Planner) executeLeaves(leaves []*BasicIR, src video.FrameSource, shared bool) (map[*BasicIR]*exec.Result, error) {
+	ex, err := pl.executor(src.SourceName())
+	if err != nil {
+		return nil, err
 	}
-	return assembleIR(ir, leafRes, v.FPS), nil
+	leafRes := make(map[*BasicIR]*exec.Result, len(leaves))
+	if !shared {
+		for _, leaf := range leaves {
+			if leafRes[leaf], err = ex.Run(leaf.Plan, src); err != nil {
+				return nil, err
+			}
+		}
+		return leafRes, nil
+	}
+	plans := make([]*exec.Plan, len(leaves))
+	for j, leaf := range leaves {
+		plans[j] = leaf.Plan
+	}
+	execRes, err := ex.RunMux(plans, src)
+	if err != nil {
+		return nil, err
+	}
+	for j, leaf := range leaves {
+		leafRes[leaf] = execRes[j]
+	}
+	return leafRes, nil
 }
 
 // assembleIR folds per-leaf executor results back up the combinator
@@ -250,79 +271,4 @@ func canaryOf(src video.FrameSource) *video.Video {
 		return s.Video()
 	}
 	return nil
-}
-
-// RunShared plans and executes every query node over one frame source in
-// a single shared pass: all nodes are compiled to the IR and
-// exec.MuxStream multiplexes every basic pipeline over one frame
-// stream, deduplicating structurally identical scan prefixes into
-// shared operators. Results align
-// positionally with nodes and are identical to running the nodes
-// sequentially (per-query virtual-time attribution shifts: shared scan
-// costs are split across the queries riding them).
-func (pl *Planner) RunShared(nodes []core.QueryNode, src video.FrameSource) ([]*RunResult, error) {
-	if len(nodes) == 0 {
-		return nil, nil
-	}
-	opts := pl.opts
-	if opts.Cache == nil {
-		opts.Cache = exec.NewSharedCache()
-	}
-	inner := &Planner{opts: opts}
-
-	canary := canaryOf(src)
-	results := make([]*RunResult, len(nodes))
-	irs := make([]*QueryIR, len(nodes))
-	var pending []int
-	for i, node := range nodes {
-		if opts.ResultCache != nil && canary != nil {
-			if r, ok := opts.ResultCache.Get(Fingerprint(node, canary)); ok {
-				results[i] = r
-				continue
-			}
-		}
-		ir, err := inner.CompileNode(node, canary)
-		if err != nil {
-			return nil, fmt.Errorf("plan: query %s: %w", node.NodeName(), err)
-		}
-		irs[i] = ir
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return results, nil
-	}
-
-	var leaves []*BasicIR
-	for _, i := range pending {
-		leaves = irs[i].Leaves(leaves)
-	}
-	plans := make([]*exec.Plan, len(leaves))
-	for j, leaf := range leaves {
-		plans[j] = leaf.Plan
-	}
-	ex, err := exec.NewExecutor(exec.Options{
-		Env: opts.Env, Registry: opts.Registry, Cache: opts.Cache,
-		Store: opts.Store, StoreSource: src.SourceName(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	execRes, err := ex.RunMux(plans, src)
-	if err != nil {
-		return nil, err
-	}
-	leafRes := make(map[*BasicIR]*exec.Result, len(leaves))
-	for j, leaf := range leaves {
-		leafRes[leaf] = execRes[j]
-	}
-
-	fps := src.SourceFPS()
-	for _, i := range pending {
-		r := assembleIR(irs[i], leafRes, fps)
-		if opts.ResultCache != nil && canary != nil {
-			opts.ResultCache.Put(Fingerprint(nodes[i], canary), r)
-		}
-		results[i] = r
-	}
-	return results, nil
 }

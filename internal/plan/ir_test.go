@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vqpy/internal/core"
@@ -160,59 +162,156 @@ func TestDedupScansClasses(t *testing.T) {
 	}
 }
 
-// TestRunSharedMatchesRunAll checks the full plan-level path: compile →
-// dedup → mux produces results identical to the sequential per-query
-// strategy, including through event combinators.
+// batchDrivers are the four ways into the one batch driver (run.go).
+var batchDrivers = []struct {
+	name string
+	run  func(pl *Planner, nodes []core.QueryNode, v *video.Video) ([]*RunResult, error)
+}{
+	{"Run", func(pl *Planner, nodes []core.QueryNode, v *video.Video) ([]*RunResult, error) {
+		out := make([]*RunResult, len(nodes))
+		for i, n := range nodes {
+			r, err := pl.Run(n, v)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = r
+		}
+		return out, nil
+	}},
+	{"RunAll/w=1", func(pl *Planner, nodes []core.QueryNode, v *video.Video) ([]*RunResult, error) {
+		return pl.RunAll(nodes, v, 1)
+	}},
+	{"RunAll/w=4", func(pl *Planner, nodes []core.QueryNode, v *video.Video) ([]*RunResult, error) {
+		return pl.RunAll(nodes, v, 4)
+	}},
+	{"RunShared", func(pl *Planner, nodes []core.QueryNode, v *video.Video) ([]*RunResult, error) {
+		return pl.RunShared(nodes, v)
+	}},
+}
+
+// driverNodes builds one node of every kind — basic (with a video-level
+// aggregate), spatial, duration, temporal — fresh on every call, so
+// result-cache hits are structural, not pointer identity.
+func driverNodes(t *testing.T) []core.QueryNode {
+	t.Helper()
+	person := core.NewVObj("Person", video.ClassPerson).Detector("person_detector")
+	car := core.NewVObj("Car", video.ClassCar).Detector("car_detector")
+	red := redCarQuery(carType()).CountDistinct("car")
+	near, err := core.NewSpatialQuery("PersonNearCar",
+		core.NewQuery("P").Use("p", person).Where(core.P("p", core.PropScore).Gt(0.5)),
+		core.NewQuery("C").Use("c", car).Where(core.P("c", core.PropScore).Gt(0.5)),
+		core.DistanceRelation("near", person, car), core.RP("near", "distance").Lt(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur, err := core.NewDurationQuery("RedAWhile", redCarQuery(carType()), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := core.NewTemporalQuery("PersonThenRedCar",
+		core.NewQuery("PersonSeen").Use("p", person).Where(core.P("p", core.PropScore).Gt(0.5)),
+		core.NewQuery("RedCarSeen").Use("c", carType()).Where(core.P("c", "color").Eq("red")), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []core.QueryNode{red, near, dur, seq}
+}
+
+// TestRunSharedMatchesRunAll is the driver equivalence table: {basic,
+// spatial, duration, temporal} × {Run, RunAll at 1 and 4 workers,
+// RunShared} × {no result cache, cold, warm} all produce the verdicts,
+// events, hits and track ids of the plain per-query run; the ledger
+// total does not depend on the worker count; and a warm result cache
+// charges the clock nothing on every driver.
 func TestRunSharedMatchesRunAll(t *testing.T) {
-	v := video.CityFlow(42, 30).Generate()
-
-	build := func() []core.QueryNode {
-		red := redCarQuery(carType())
-		blue := core.NewQuery("BlueCar").
-			Use("car", carType()).
-			Where(core.And(
-				core.P("car", core.PropScore).Gt(0.5),
-				core.P("car", "color").Eq("blue"),
-			)).
-			CountDistinct("car")
-		dur, err := core.NewDurationQuery("RedAWhile", redCarQuery(carType()), 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []core.QueryNode{red, blue, dur}
-	}
-
-	seqPl := testPlanner(t, nil)
-	seq, err := seqPl.RunAll(build(), v, 1)
+	v := video.Pickup(49, 30).Generate()
+	ref, err := batchDrivers[0].run(testPlanner(t, nil), driverNodes(t), v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedPl := testPlanner(t, nil)
-	shared, err := sharedPl.RunShared(build(), v)
-	if err != nil {
-		t.Fatal(err)
+	matched := 0
+	for _, r := range ref {
+		matched += r.MatchedCount()
 	}
-	if len(seq) != len(shared) {
-		t.Fatalf("%d vs %d results", len(seq), len(shared))
+	if matched == 0 {
+		t.Fatal("reference matched nothing; the table would compare empty results")
 	}
-	for i := range seq {
-		if !reflect.DeepEqual(seq[i].Matched, shared[i].Matched) {
-			t.Errorf("query %d (%s): matched differs", i, seq[i].Name)
+	same := func(t *testing.T, got []*RunResult) {
+		t.Helper()
+		if len(got) != len(ref) {
+			t.Fatalf("%d results, want %d", len(got), len(ref))
 		}
-		if !reflect.DeepEqual(seq[i].Events, shared[i].Events) {
-			t.Errorf("query %d (%s): events differ", i, seq[i].Name)
-		}
-		sb, hb := seq[i].Basic, shared[i].Basic
-		if (sb == nil) != (hb == nil) {
-			t.Fatalf("query %d: basic result presence differs", i)
-		}
-		if sb != nil {
-			if !reflect.DeepEqual(sb.Hits, hb.Hits) {
-				t.Errorf("query %d (%s): hits differ", i, seq[i].Name)
+		for i, want := range ref {
+			g := got[i]
+			if g.Name != want.Name || !reflect.DeepEqual(g.Matched, want.Matched) || !reflect.DeepEqual(g.Events, want.Events) {
+				t.Errorf("%s: name/matched/events differ from the per-query run", want.Name)
 			}
-			if sb.Count != hb.Count || !reflect.DeepEqual(sb.TrackIDs, hb.TrackIDs) {
-				t.Errorf("query %d (%s): aggregation differs", i, seq[i].Name)
+			if (g.Basic == nil) != (want.Basic == nil) {
+				t.Fatalf("%s: basic result presence differs", want.Name)
 			}
+			if want.Basic != nil && (!reflect.DeepEqual(g.Basic.Hits, want.Basic.Hits) ||
+				g.Basic.Count != want.Basic.Count || !reflect.DeepEqual(g.Basic.TrackIDs, want.Basic.TrackIDs)) {
+				t.Errorf("%s: hits or aggregation differ from the per-query run", want.Name)
+			}
+		}
+	}
+
+	ledger := map[string]float64{}
+	for _, d := range batchDrivers {
+		t.Run(d.name+"/no-cache", func(t *testing.T) {
+			pl := testPlanner(t, nil)
+			got, err := d.run(pl, driverNodes(t), v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, got)
+			ledger[d.name] = pl.opts.Env.Clock.TotalMS()
+		})
+		t.Run(d.name+"/result-cache", func(t *testing.T) {
+			rc := NewResultCache()
+			pl := testPlanner(t, func(o *Options) { o.ResultCache = rc })
+			cold, err := d.run(pl, driverNodes(t), v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, cold)
+			afterCold := pl.opts.Env.Clock.TotalMS()
+			if math.Abs(afterCold-ledger[d.name]) > 1e-6 {
+				t.Errorf("cold result cache changed the ledger: %.6f ms vs %.6f ms without", afterCold, ledger[d.name])
+			}
+			warm, err := d.run(pl, driverNodes(t), v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, warm)
+			if cost := pl.opts.Env.Clock.TotalMS(); cost != afterCold {
+				t.Errorf("warm result cache charged the clock %g ms", cost-afterCold)
+			}
+			for i := range warm {
+				if warm[i] != cold[i] {
+					t.Errorf("%s: warm run did not return the materialized result", cold[i].Name)
+				}
+			}
+			if hits, _ := rc.Stats(); hits != len(ref) {
+				t.Errorf("result cache hits = %d, want %d", hits, len(ref))
+			}
+		})
+	}
+	if seq, par := ledger["RunAll/w=1"], ledger["RunAll/w=4"]; seq == 0 || math.Abs(seq-par) > 1e-6 {
+		t.Errorf("ledger depends on the worker count: %.6f ms at 1 worker, %.6f ms at 4", seq, par)
+	}
+}
+
+// TestDriversNameFailingQuery: a query that cannot run fails the whole
+// call on every driver, with an error naming it.
+func TestDriversNameFailingQuery(t *testing.T) {
+	v := video.Pickup(49, 5).Generate()
+	ghost := core.NewVObj("Ghost", video.ClassCar).Detector("no_such_model")
+	for _, d := range batchDrivers {
+		nodes := append(driverNodes(t), scoreQuery("Haunted", "g", ghost))
+		_, err := d.run(testPlanner(t, nil), nodes, v)
+		if err == nil || !strings.Contains(err.Error(), "Haunted") {
+			t.Errorf("%s: err = %v, want one naming query Haunted", d.name, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -84,14 +85,7 @@ func writeNode(b *strings.Builder, node core.QueryNode) {
 		for name := range rels {
 			relNames = append(relNames, name)
 		}
-		// Sorted for determinism.
-		for i := 0; i < len(relNames); i++ {
-			for j := i + 1; j < len(relNames); j++ {
-				if relNames[j] < relNames[i] {
-					relNames[i], relNames[j] = relNames[j], relNames[i]
-				}
-			}
-		}
+		sort.Strings(relNames) // map order is not deterministic
 		for _, name := range relNames {
 			rb := rels[name]
 			fmt.Fprintf(b, ";rel:%s=%s(%s,%s)", name, rb.Rel.Name(), rb.LeftInst, rb.RightInst)

@@ -35,7 +35,6 @@ import (
 	"vqpy/internal/fleet"
 	"vqpy/internal/index"
 	"vqpy/internal/models"
-	"vqpy/internal/store"
 	"vqpy/internal/video"
 )
 
@@ -138,7 +137,7 @@ func (pl *Planner) Search(src video.FrameSource, spec SearchSpec) (*SearchResult
 		threshold = defaultSearchThreshold
 	}
 
-	p, sig, err := pl.searchPlan(spec.Query, src)
+	p, sig, err := pl.archivePlan(spec.Query, src, false)
 	if err != nil {
 		return nil, err
 	}
@@ -182,14 +181,6 @@ func (pl *Planner) Search(src video.FrameSource, spec SearchSpec) (*SearchResult
 	env := pl.opts.Env
 	clockBefore := env.Clock.TotalMS()
 
-	ex, err := exec.NewExecutor(exec.Options{
-		Env: env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
-		Store: pl.opts.Store, StoreSource: source,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	var baseMatched []bool
 	var hits []exec.FrameHit
 	passing := make(map[int]float64)
@@ -198,6 +189,10 @@ func (pl *Planner) Search(src video.FrameSource, spec SearchSpec) (*SearchResult
 		entries := pl.opts.Index.Probe(env, source, sigKey, class, feature, threshold)
 		res.CandidateTracks = len(entries)
 		cands := candidateFrames(entries, covered)
+		ex, err := pl.executor(source)
+		if err != nil {
+			return nil, err
+		}
 		r, err := ex.RunIndexVerify(p, src, cands, covered, n)
 		if err != nil {
 			return nil, err
@@ -240,7 +235,7 @@ func (pl *Planner) Search(src video.FrameSource, spec SearchSpec) (*SearchResult
 			}
 		}
 	} else {
-		r, err := runSearchFull(ex, p, pl.opts.Store, src, n)
+		r, err := pl.archivePass(p, src, n, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -260,13 +255,19 @@ func (pl *Planner) Search(src video.FrameSource, spec SearchSpec) (*SearchResult
 	return res, nil
 }
 
-// searchPlan compiles the verification pipeline the way both search
-// paths and IndexArchive must agree on: memoization off (see Search)
-// and no plan cache (cached selections were profiled under different
-// options). Extraction and search deriving the scan signature from the
-// same compilation is what keys index entries to the records the
-// verifier will actually replay.
-func (pl *Planner) searchPlan(q *core.Query, src video.FrameSource) (*exec.Plan, exec.ScanSig, error) {
+// archivePlan compiles q the one canonical way every archive path —
+// both search paths, IndexArchive and the fidelity entry points — must
+// agree on: memoization off and no plan cache (cached selections were
+// profiled under different options). Extraction and search deriving the
+// scan signature from the same compilation is what keys index entries to
+// the records the verifier will actually replay.
+//
+// fidelity adds the lattice's restrictions: no frame filters and no
+// specialized detectors — the scan prefix must be exactly detect→track
+// so every tier archives the same frames and differs only by its
+// declared (stride, res, detector) — and a per-frame-pure residual (the
+// IndexVerifiable gate), so the plan is replayable from any tier.
+func (pl *Planner) archivePlan(q *core.Query, src video.FrameSource, fidelity bool) (*exec.Plan, exec.ScanSig, error) {
 	// Memoized-at-first-sight property values depend on which frame a
 	// track is first processed on, which candidate-skipping changes;
 	// per-frame evaluation is identical on both paths (and free on
@@ -274,6 +275,10 @@ func (pl *Planner) searchPlan(q *core.Query, src video.FrameSource) (*exec.Plan,
 	opts := pl.opts
 	opts.DisableMemo = true
 	opts.PlanCache = nil
+	if fidelity {
+		opts.DisableSpecialized = true
+		opts.DisableFrameFilters = true
+	}
 	inner := &Planner{opts: opts.withDefaults()}
 	p, _, err := inner.PlanBasic(q, canaryOf(src))
 	if err != nil {
@@ -282,6 +287,9 @@ func (pl *Planner) searchPlan(q *core.Query, src video.FrameSource) (*exec.Plan,
 	sig := exec.ScanPrefixOf(p)
 	if !sig.Shareable {
 		return nil, exec.ScanSig{}, fmt.Errorf("plan: query %q has no shareable scan prefix to key the archive by", q.Name())
+	}
+	if fidelity && !exec.IndexVerifiable(p) {
+		return nil, exec.ScanSig{}, fmt.Errorf("plan: query %q is not fidelity-servable (stateful residual operators)", q.Name())
 	}
 	return p, sig, nil
 }
@@ -304,7 +312,7 @@ func (pl *Planner) IndexArchive(x *index.Index, q *core.Query, src video.FrameSo
 	if err != nil {
 		return index.ExtractStats{}, err
 	}
-	_, sig, err := pl.searchPlan(q, src)
+	_, sig, err := pl.archivePlan(q, src, false)
 	if err != nil {
 		return index.ExtractStats{}, err
 	}
@@ -329,21 +337,14 @@ func (pl *Planner) WarmSearchArchive(q *core.Query, src video.FrameSource, upto 
 	if pl.opts.Store == nil {
 		return fmt.Errorf("plan: WarmSearchArchive requires Options.Store")
 	}
-	p, _, err := pl.searchPlan(q, src)
+	p, _, err := pl.archivePlan(q, src, false)
 	if err != nil {
 		return err
 	}
 	if upto <= 0 || upto > src.NumFrames() {
 		upto = src.NumFrames()
 	}
-	ex, err := exec.NewExecutor(exec.Options{
-		Env: pl.opts.Env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
-		Store: pl.opts.Store, StoreSource: src.SourceName(),
-	})
-	if err != nil {
-		return err
-	}
-	_, err = runSearchFull(ex, p, pl.opts.Store, src, upto)
+	_, err = pl.archivePass(p, src, upto, 1)
 	return err
 }
 
@@ -377,15 +378,22 @@ func (pl *Planner) resolveFeature(spec SearchSpec, source, sigKey string, class 
 	return vec, nil
 }
 
-// runSearchFull executes the plan over every frame of [0, n) with the
-// store bound, the full-rescan access path.
-func runSearchFull(ex *exec.Executor, p *exec.Plan, st *store.Store, src video.FrameSource, n int) (*exec.Result, error) {
+// archivePass executes the plan over frames 0, stride, … below n of src
+// with the store bound: the full-rescan access path of search, the live
+// path of fidelity serving, and (stride > 1) a fidelity tier's archive
+// pass. Archived frames replay from the store; the rest run the models
+// and are persisted.
+func (pl *Planner) archivePass(p *exec.Plan, src video.FrameSource, n, stride int) (*exec.Result, error) {
+	ex, err := pl.executor(src.SourceName())
+	if err != nil {
+		return nil, err
+	}
 	m, err := ex.OpenMux([]*exec.Plan{p}, src.SourceFPS())
 	if err != nil {
 		return nil, err
 	}
-	m.BindStore(st, src)
-	if err := m.FeedRange(src, 0, n, 1); err != nil {
+	m.BindStore(pl.opts.Store, src)
+	if err := m.FeedRange(src, 0, n, stride); err != nil {
 		return nil, err
 	}
 	return m.Close()[0], nil

@@ -133,20 +133,13 @@ func (pl *Planner) RunText(spec TextSpec, v *video.Video, eager bool) (*TextResu
 	if len(leaves) != 1 {
 		return nil, fmt.Errorf("plan: text query %s compiled to %d leaves, want 1", spec.Query.Name(), len(leaves))
 	}
-	leaf := leaves[0]
 
 	startMS := pl.opts.Env.Clock.TotalMS()
-	ex, err := exec.NewExecutor(exec.Options{
-		Env: pl.opts.Env, Registry: pl.opts.Registry, Cache: pl.opts.Cache,
-		Store: pl.opts.Store, StoreSource: v.Name,
-	})
+	leafRes, err := pl.executeLeaves(leaves, v, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ex.Run(leaf.Plan, v)
-	if err != nil {
-		return nil, err
-	}
+	res := leafRes[leaves[0]]
 
 	final := res.Matched
 	calls := 0

@@ -43,64 +43,42 @@ type UDF func(env *models.Env, args []any) (any, error)
 // clause (e.g. the tracker behind EXTRACT_OBJECT).
 type TableUDF func(env *models.Env, lctx *lateralCtx, args []any) ([]Row, error)
 
-// Engine is a single-session mini VDBMS.
-//
-// The engine has two execution strategies for SELECTs over video
-// tables. The default (NewEngine) compiles them into the unified
-// operator IR of internal/plan and executes through the same planner
-// and shared-scan engine as the object-oriented frontend — one detector
-// run and one tracker per class per frame, per-row UDF overhead gone.
-// The legacy strategy (NewEVABaseline) evaluates rows one at a time
-// with EVA's structural overheads charged, reproducing the §5.2
-// baseline. Relational statements over materialized tables (joins,
-// projections) always use the row evaluator — that part is plain
-// relational algebra, not video analytics.
+// Engine is a single-session mini VDBMS: the EVA baseline of §5.2 and
+// nothing else. Every SELECT — over a video table or a materialized one
+// — is evaluated one row at a time with EVA's structural overheads
+// (pandas UDF wrapping, materialization, join probes) charged to the
+// ledger. It is the reference Fig. 14–16 and the root crosscheck compare
+// the object-oriented frontend against, so it deliberately shares no
+// execution code with internal/plan.
 type Engine struct {
 	env      *models.Env
 	registry *models.Registry
 
-	// legacy selects the EVA cost-model row evaluator for video-table
-	// SELECTs instead of the planner/IR path.
-	legacy bool
-
-	videos      map[string]*video.Video
-	videoTables map[string]*video.Video // frame table name → backing video
-	tables      map[string]*Table
-	udfs        map[string]UDF
-	tableUDFs   map[string]TableUDF
-	created     map[string]bool // functions introduced via CREATE FUNCTION
+	videos    map[string]*video.Video
+	tables    map[string]*Table
+	udfs      map[string]UDF
+	tableUDFs map[string]TableUDF
+	created   map[string]bool // functions introduced via CREATE FUNCTION
 
 	// trackers are per (lateral invocation site) trackers emulating
 	// EVA's NorFairTracker binding.
 	trackerSeq int
 }
 
-// NewEngine returns an engine bound to a model environment; SELECTs
-// over video tables execute through the planner/IR shared-scan path.
+// NewEVABaseline returns an engine bound to a model environment.
 // Built-in special forms (EXTRACT_OBJECT, Crop) are pre-registered;
 // scalar UDFs must be registered then declared via CREATE FUNCTION.
-func NewEngine(env *models.Env, registry *models.Registry) *Engine {
+func NewEVABaseline(env *models.Env, registry *models.Registry) *Engine {
 	e := &Engine{
 		env: env, registry: registry,
-		videos:      make(map[string]*video.Video),
-		videoTables: make(map[string]*video.Video),
-		tables:      make(map[string]*Table),
-		udfs:        make(map[string]UDF),
-		tableUDFs:   make(map[string]TableUDF),
-		created:     make(map[string]bool),
+		videos:    make(map[string]*video.Video),
+		tables:    make(map[string]*Table),
+		udfs:      make(map[string]UDF),
+		tableUDFs: make(map[string]TableUDF),
+		created:   make(map[string]bool),
 	}
 	e.tableUDFs["extract_object"] = extractObject
 	e.udfs["crop"] = cropUDF
-	return e
-}
-
-// NewEVABaseline returns an engine that evaluates video-table SELECTs
-// row by row with EVA's structural overheads (pandas UDF wrapping,
-// materialization, join probes) charged to the ledger — the §5.2
-// baseline the benchmarks compare against.
-func NewEVABaseline(env *models.Env, registry *models.Registry) *Engine {
-	e := NewEngine(env, registry)
-	e.legacy = true
 	return e
 }
 
@@ -160,7 +138,6 @@ func (e *Engine) ExecStmt(st Statement) (*Table, error) {
 			tbl.Rows = append(tbl.Rows, Row{"id": float64(v.Frames[i].Index), "data": &v.Frames[i]})
 		}
 		e.tables[st.Table] = tbl
-		e.videoTables[st.Table] = v
 		return nil, nil
 
 	case *CreateFunction:
@@ -171,16 +148,11 @@ func (e *Engine) ExecStmt(st Statement) (*Table, error) {
 		return nil, nil
 
 	case *CreateTableAs:
-		res, planned, err := e.runSelect(st.Select)
+		res, err := e.execSelect(st.Select)
 		if err != nil {
 			return nil, err
 		}
-		if !planned {
-			// Only the row-at-a-time path pays EVA's per-row
-			// materialization toll; the planner path streams its output
-			// straight into the table.
-			e.env.Clock.Charge("eva:materialize", costMaterializeMS*float64(len(res.Rows)))
-		}
+		e.env.Clock.Charge("eva:materialize", costMaterializeMS*float64(len(res.Rows)))
 		res.Name = st.Table
 		e.tables[st.Table] = res
 		return nil, nil
@@ -197,33 +169,12 @@ func (e *Engine) ExecStmt(st Statement) (*Table, error) {
 			return nil, fmt.Errorf("sqlbase: DROP TABLE %s: not found", st.Name)
 		}
 		delete(e.tables, st.Name)
-		delete(e.videoTables, st.Name)
 		return nil, nil
 
 	case *Select:
-		t, _, err := e.runSelect(st)
-		return t, err
+		return e.execSelect(st)
 	}
 	return nil, fmt.Errorf("sqlbase: unknown statement %T", st)
-}
-
-// runSelect executes a SELECT through the planner/IR path when the
-// engine is planner-backed and the statement fits the compilable
-// video-table shape; everything else takes the relational row
-// evaluator. planned reports which path ran.
-func (e *Engine) runSelect(sel *Select) (t *Table, planned bool, err error) {
-	if !e.legacy {
-		cs, ok, err := e.compileSelect(sel)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			t, err := e.execCompiledSelect(cs)
-			return t, true, err
-		}
-	}
-	t, err = e.execSelect(sel)
-	return t, false, err
 }
 
 // scope resolves column references against one or two bound rows.

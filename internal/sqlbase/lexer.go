@@ -20,6 +20,12 @@
 // predicate reordering — the paper's "EVA does not support creating VIEW
 // ... filters cannot be pushed", which the benchmarks exercise via naive
 // vs. manually refined SQL).
+//
+// The package is that baseline and nothing else: NewEVABaseline is the
+// one constructor, every SELECT runs through the row evaluator, and
+// nothing here imports the planner (internal/plan, internal/core) it is
+// measured against — Fig. 14–16 and the root crosscheck compare two
+// independent implementations.
 package sqlbase
 
 import (

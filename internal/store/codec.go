@@ -1,14 +1,8 @@
 package store
 
-// On-disk record format. Each tier's log file is a sequence of
-// independently decodable records:
-//
-//	[4-byte big-endian blob length][4-byte CRC32 (IEEE) of blob][gob blob]
-//
-// Every blob is produced by a fresh gob.Encoder, so a record can be
-// decoded knowing only its offset — no stream state is shared between
-// records, which is what allows the disk tier to serve random reads and
-// the opener to skip corrupt records instead of abandoning the file.
+// The record kinds the tiers persist. Framing, checksums and recovery
+// belong to internal/reclog; every record is one gob-encoded frame of
+// its tier's log.
 //
 // Values stored through the `any`-typed label channel are restricted to
 // the concrete types the simulated model zoo emits (strings, numbers,
@@ -16,12 +10,7 @@ package store
 // the store is a cache, and a value it cannot carry is simply recomputed.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"fmt"
-	"hash/crc32"
-	"io"
 
 	"vqpy/internal/geom"
 )
@@ -133,47 +122,7 @@ func gobSafe(v any) bool {
 	return false
 }
 
-// maxRecordBytes bounds a single record blob. Anything larger in the
+// maxRecordBytes bounds a single record payload. Anything larger in the
 // length header is treated as corruption (frames carry at most a few
 // dozen detections; real records are well under a kilobyte).
 const maxRecordBytes = 32 << 20
-
-// recordHeaderBytes is the fixed framing prefix: length + CRC.
-const recordHeaderBytes = 8
-
-// encodeRecord frames one gob-encoded value for the log.
-func encodeRecord(v any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return nil, err
-	}
-	blob := body.Bytes()
-	out := make([]byte, recordHeaderBytes+len(blob))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(blob)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(blob))
-	copy(out[recordHeaderBytes:], blob)
-	return out, nil
-}
-
-// decodeRecord decodes one framed blob into v, verifying the CRC.
-func decodeRecord(blob []byte, crc uint32, v any) error {
-	if crc32.ChecksumIEEE(blob) != crc {
-		return fmt.Errorf("store: record checksum mismatch")
-	}
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
-}
-
-// readHeader reads one record header at off. io.EOF (clean end) and
-// io.ErrUnexpectedEOF (truncated header) are returned unwrapped so the
-// opener can distinguish them from decode failures.
-func readHeader(r io.ReaderAt, off int64) (length uint32, crc uint32, err error) {
-	var hdr [recordHeaderBytes]byte
-	n, err := r.ReadAt(hdr[:], off)
-	if n == 0 && err == io.EOF {
-		return 0, 0, io.EOF
-	}
-	if n < recordHeaderBytes {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	return binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8]), nil
-}

@@ -37,7 +37,7 @@ func TestCorruptionRecoveryUnderPinnedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[recordHeaderBytes+2] ^= 0xFF
+	blob[frameHeaderBytes+2] ^= 0xFF
 	blob = append(blob, 0xde, 0xad, 0xbe)
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)

@@ -6,11 +6,11 @@ package store
 // archive covers and the calibrated accuracy / cost-per-frame the
 // fidelity planner's cost model consults. The manifest is small (a
 // handful of entries per source), so it is kept wholly in memory and
-// rewritten as one JSON file on every upsert — no log framing needed —
-// and it shares the store's identity rules: it is removed on manifest
-// invalidation and its writes flow through the injectable write-fault
-// hook ("fidelity" kind), degrading to memory-only on failure exactly
-// like the log tiers.
+// replaced atomically as one JSON file on every upsert (reclog.WriteFile)
+// — no log framing needed — and it shares the store's identity rules:
+// it is removed on manifest invalidation and its writes flow through the
+// injectable write-fault hook ("fidelity" kind), degrading to
+// memory-only on failure exactly like the log tiers.
 
 import (
 	"encoding/json"
@@ -18,6 +18,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"vqpy/internal/reclog"
 )
 
 // fidelityName is the fidelity manifest file inside the store directory.
@@ -100,7 +102,7 @@ func (s *Store) PutFidelity(e FidelityEntry) error {
 	if err == nil {
 		var blob []byte
 		if blob, err = json.MarshalIndent(s.fidelity, "", "  "); err == nil {
-			err = os.WriteFile(filepath.Join(s.dir, fidelityName), append(blob, '\n'), 0o644)
+			err = reclog.WriteFile(filepath.Join(s.dir, fidelityName), append(blob, '\n'))
 		}
 	}
 	if err != nil {

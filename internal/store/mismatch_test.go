@@ -3,6 +3,8 @@ package store
 // Satellite hardening: the manifest mismatch diagnostic must name the
 // offending field with both the expected and the found value — "store
 // invalidated" with no reason was unactionable in production triage.
+// The check itself is reclog.Mismatch, shared with the index (whose
+// four-field identity reclog's own test covers).
 
 import (
 	"encoding/json"
@@ -10,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vqpy/internal/reclog"
 )
 
 func TestMetaMismatchNamesOffendingFields(t *testing.T) {
@@ -51,7 +55,7 @@ func TestMetaMismatchNamesOffendingFields(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			reason := metaMismatch([]byte(tc.blob), want)
+			reason := reclog.Mismatch([]byte(tc.blob), want)
 			if tc.clean {
 				if reason != "" {
 					t.Fatalf("matching manifest reported %q", reason)

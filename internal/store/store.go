@@ -2,9 +2,9 @@
 // analytics layer: per-frame detector outputs, shared-tracker id
 // assignments and evaluated VObj property values, keyed by (source,
 // frame, scan-group signature) and surviving the process. A bounded
-// in-memory LRU tier serves the hot set; an append-only on-disk log with
-// CRC-framed gob records is the archival tier (see DESIGN.md §7 for the
-// layout and the bit-identity rules).
+// in-memory LRU tier serves the hot set; an append-only internal/reclog
+// log (CRC-framed gob records) is the archival tier (see DESIGN.md §7
+// for the layout and the bit-identity rules).
 //
 // The store is what turns the engine's within-pass sharing (MuxStream)
 // into cross-pass and cross-process reuse: a second scan over the same
@@ -16,11 +16,12 @@
 // Correctness rests on the same determinism contract as every other
 // reuse layer (DESIGN.md §2): model outputs are pure functions of
 // (seed, model, frame, object), so a persisted value equals what the
-// live model would produce — provided the seed matches. The manifest
-// records the seed; opening a store written under a different seed (or
-// format version) invalidates it rather than serving wrong values, and
-// a plan whose chosen model differs from what was persisted misses by
-// key construction (the scan signature and label keys embed the model).
+// live model would produce — provided the seed matches. The reclog
+// manifest records the seed; opening a store written under a different
+// seed (or format version) invalidates it rather than serving wrong
+// values, and a plan whose chosen model differs from what was persisted
+// misses by key construction (the scan signature and label keys embed
+// the model).
 //
 // The store is safe for concurrent use; all operations serialize behind
 // one mutex (records are small and reads are index lookups, so the lock
@@ -28,18 +29,14 @@
 package store
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"strings"
-
 	"vqpy/internal/geom"
 	"vqpy/internal/metrics"
+	"vqpy/internal/reclog"
 )
 
 // FormatVersion identifies the on-disk layout; stores written by other
@@ -103,9 +100,6 @@ type Store struct {
 	fidelityMemOnly bool
 }
 
-// manifestName is the manifest file inside the store directory.
-const manifestName = "manifest.json"
-
 // Open opens (creating if needed) the store rooted at dir for sessions
 // seeded with meta.Seed. A directory written under a different seed or
 // format version is invalidated: its logs are removed and the store
@@ -124,57 +118,40 @@ func Open(dir string, meta Meta, opts Options) (*Store, error) {
 	}
 	s := &Store{dir: dir, meta: meta, counters: metrics.NewCounters()}
 
-	manifestPath := filepath.Join(dir, manifestName)
-	if blob, err := os.ReadFile(manifestPath); err == nil {
-		if reason := metaMismatch(blob, meta); reason != "" {
-			// Wrong seed / version / garbage manifest: everything in the
-			// directory was computed under a different identity and must
-			// not be served. A failed removal must fail the open — were
-			// the manifest rewritten anyway, the surviving records would
-			// be served as valid on every later open.
-			s.counters.Add("invalidated", 1)
-			s.warnings = append(s.warnings, fmt.Sprintf(
-				"store: %s: %s; invalidating", dir, reason))
-			for _, name := range []string{"scans.log", "dets.log", "labels.log", fidelityName} {
-				if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-					return nil, fmt.Errorf("store: invalidating %s: %w", name, err)
-				}
-			}
-		}
-	}
-	blob, err := json.Marshal(meta)
+	// Wrong seed / version / garbage manifest: everything in the
+	// directory was computed under a different identity and must not be
+	// served (reclog.CheckManifest removes it, or fails the open).
+	warning, err := reclog.CheckManifest(dir, "store", meta, "scans.log", "dets.log", "labels.log", fidelityName)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := os.WriteFile(manifestPath, append(blob, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if warning != "" {
+		s.counters.Add("invalidated", 1)
+		s.warnings = append(s.warnings, warning)
 	}
 
-	open := func(file, name string, decode func([]byte, uint32) (string, any, error)) (*tier, error) {
-		t, warns, err := openTier(filepath.Join(dir, file), name, opts.MemRecords, decode)
+	for _, k := range []struct {
+		dst    **tier
+		name   string
+		decode func(frame []byte) (string, any, error)
+	}{
+		{&s.scans, "scans", decodeAs(func(r *ScanRecord) string { return scanKey(r.Source, r.ScanKey, r.Frame) })},
+		{&s.dets, "dets", decodeAs(func(r *DetRecord) string { return detKey(r.Source, r.Model, r.Frame) })},
+		{&s.labels, "labels", decodeAs(func(r *LabelRecord) string {
+			return labelKey(r.Source, r.Model, r.Frame, r.X1, r.Y1, r.X2, r.Y2, r.TruthID)
+		})},
+	} {
+		t, warns, err := openTier(filepath.Join(dir, k.name+".log"), k.name, opts.MemRecords, k.decode)
 		if err != nil {
-			return nil, fmt.Errorf("store: %s: %w", name, err)
+			s.closeTiers()
+			return nil, fmt.Errorf("store: %s: %w", k.name, err)
 		}
+		t.readFault = opts.ReadFault
 		s.warnings = append(s.warnings, warns...)
 		s.counters.Add("corrupt_records", int64(t.corrupt))
-		return t, nil
-	}
-	if s.scans, err = open("scans.log", "scans", decodeScan); err != nil {
-		return nil, err
-	}
-	if s.dets, err = open("dets.log", "dets", decodeDet); err != nil {
-		s.scans.close()
-		return nil, err
-	}
-	if s.labels, err = open("labels.log", "labels", decodeLabel); err != nil {
-		s.scans.close()
-		s.dets.close()
-		return nil, err
+		*k.dst = t
 	}
 	s.writeFault = opts.WriteFault
-	for _, t := range []*tier{s.scans, s.dets, s.labels} {
-		t.readFault = opts.ReadFault
-	}
 	s.loadFidelity()
 	return s, nil
 }
@@ -193,9 +170,18 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	return s.closeTiers()
+}
+
+// closeTiers closes every tier log that was opened, returning the first
+// error.
+func (s *Store) closeTiers() error {
 	var first error
 	for _, t := range []*tier{s.scans, s.dets, s.labels} {
-		if err := t.close(); err != nil && first == nil {
+		if t == nil {
+			continue
+		}
+		if err := t.log.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -215,28 +201,6 @@ func (s *Store) Warnings() []string {
 	return append([]string(nil), s.warnings...)
 }
 
-// metaMismatch explains why an existing manifest blob does not match
-// the expected identity, naming every offending field with its found
-// and expected values (so an invalidation warning says exactly which
-// identity moved). It returns "" when the manifest matches.
-func metaMismatch(blob []byte, want Meta) string {
-	var have Meta
-	if err := json.Unmarshal(blob, &have); err != nil {
-		return fmt.Sprintf("manifest unreadable (%v)", err)
-	}
-	var fields []string
-	if have.Version != want.Version {
-		fields = append(fields, fmt.Sprintf("version found %d, expected %d", have.Version, want.Version))
-	}
-	if have.Seed != want.Seed {
-		fields = append(fields, fmt.Sprintf("seed found %d, expected %d", have.Seed, want.Seed))
-	}
-	if len(fields) == 0 {
-		return ""
-	}
-	return "manifest mismatch: " + strings.Join(fields, "; ")
-}
-
 // scanKey / detKey / labelKey build the index keys. \x00 separators keep
 // compound keys unambiguous for any source / model / signature strings.
 func scanKey(source, sig string, frame int) string {
@@ -251,33 +215,21 @@ func labelKey(source, model string, frame int, x1, y1, x2, y2, truthID int) stri
 	return fmt.Sprintf("%s\x00%s\x00%d\x00%d,%d,%d,%d\x00%d", source, model, frame, x1, y1, x2, y2, truthID)
 }
 
-func decodeScan(blob []byte, crc uint32) (string, any, error) {
-	var r ScanRecord
-	if err := decodeRecord(blob, crc, &r); err != nil {
-		return "", nil, err
+// decodeAs builds a tier's decoder for record type R: gob-decode the
+// frame and derive the index key from the record's own fields.
+func decodeAs[R any](key func(*R) string) func(frame []byte) (string, any, error) {
+	return func(frame []byte) (string, any, error) {
+		r := new(R)
+		if err := reclog.Decode(frame, r); err != nil {
+			return "", nil, err
+		}
+		return key(r), r, nil
 	}
-	return scanKey(r.Source, r.ScanKey, r.Frame), &r, nil
-}
-
-func decodeDet(blob []byte, crc uint32) (string, any, error) {
-	var r DetRecord
-	if err := decodeRecord(blob, crc, &r); err != nil {
-		return "", nil, err
-	}
-	return detKey(r.Source, r.Model, r.Frame), &r, nil
-}
-
-func decodeLabel(blob []byte, crc uint32) (string, any, error) {
-	var r LabelRecord
-	if err := decodeRecord(blob, crc, &r); err != nil {
-		return "", nil, err
-	}
-	return labelKey(r.Source, r.Model, r.Frame, r.X1, r.Y1, r.X2, r.Y2, r.TruthID), &r, nil
 }
 
 // put frames and appends one record under the store lock.
 func (s *Store) put(t *tier, kind, key string, val any) error {
-	framed, err := encodeRecord(val)
+	framed, err := reclog.Encode(val)
 	if err != nil {
 		return fmt.Errorf("store: encode %s: %w", kind, err)
 	}

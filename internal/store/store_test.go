@@ -9,6 +9,10 @@ import (
 	"vqpy/internal/geom"
 )
 
+// frameHeaderBytes is reclog's frame header (length + CRC): the tests
+// that poison a record's payload in place skip past it.
+const frameHeaderBytes = 8
+
 func openTest(t *testing.T, dir string, seed uint64, memCap int) *Store {
 	t.Helper()
 	s, err := Open(dir, Meta{Seed: seed}, Options{MemRecords: memCap})
@@ -207,7 +211,7 @@ func TestGarbageRecordMidFileIsSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[recordHeaderBytes+2] ^= 0xFF
+	blob[frameHeaderBytes+2] ^= 0xFF
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}

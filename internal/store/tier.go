@@ -16,11 +16,11 @@ package store
 import (
 	"container/list"
 	"fmt"
-	"io"
-	"os"
+
+	"vqpy/internal/reclog"
 )
 
-// span locates one record in the log file.
+// span locates one record's frame in the log file.
 type span struct {
 	off int64
 	n   int32
@@ -37,18 +37,17 @@ type memEnt struct {
 // tier is one record kind's two-level storage.
 type tier struct {
 	name string
-	f    *os.File
-	size int64 // logical end of log: next append offset
+	log  *reclog.Log
 
 	idx map[string]span    // every durable record, latest version wins
 	mem map[string]*memEnt // decoded hot set
 	lru *list.List         // front = most recently used
 	cap int                // hot-set capacity (records)
 
-	// decode turns one verified blob into (key, typed record).
-	decode func(blob []byte, crc uint32) (string, any, error)
+	// decode turns one verified frame into (key, typed record).
+	decode func(frame []byte) (string, any, error)
 
-	corrupt int // records skipped at open (bad CRC / undecodable)
+	corrupt int // records skipped or tails truncated at open
 	evicted int // hot-tier evictions (records remain on disk)
 
 	// memOnly marks a tier degraded by a write failure: appends stop
@@ -63,76 +62,35 @@ type tier struct {
 }
 
 // openTier opens (creating if needed) one log file and rebuilds its
-// index, skipping corrupt records and truncating a torn tail.
+// offset index from the frames reclog's recovery scan hands it.
 func openTier(path, name string, capacity int,
-	decode func(blob []byte, crc uint32) (string, any, error)) (*tier, []string, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
+	decode func(frame []byte) (string, any, error)) (*tier, []string, error) {
 	t := &tier{
-		name: name, f: f,
-		idx: make(map[string]span), mem: make(map[string]*memEnt),
+		name: name,
+		idx:  make(map[string]span), mem: make(map[string]*memEnt),
 		lru: list.New(), cap: capacity, decode: decode,
 	}
-	var warnings []string
-	fileSize := st.Size()
-	off := int64(0)
-	for off < fileSize {
-		length, crc, err := readHeader(f, off)
-		if err == io.EOF {
-			break
+	log, rec, err := reclog.Open(path, "store: "+name, maxRecordBytes, func(off int64, frame []byte) error {
+		key, _, err := t.decode(frame)
+		if err == nil {
+			t.idx[key] = span{off: off, n: int32(len(frame))}
 		}
-		if err == io.ErrUnexpectedEOF || int64(length) > maxRecordBytes ||
-			off+recordHeaderBytes+int64(length) > fileSize {
-			// Torn or garbage framing: nothing beyond this point can be
-			// trusted, so the logical log ends here.
-			warnings = append(warnings,
-				fmt.Sprintf("store: %s: truncating torn tail at offset %d (file size %d)", name, off, fileSize))
-			t.corrupt++
-			break
-		}
-		blob := make([]byte, length)
-		if _, err := f.ReadAt(blob, off+recordHeaderBytes); err != nil {
-			warnings = append(warnings,
-				fmt.Sprintf("store: %s: unreadable record at offset %d: %v", name, off, err))
-			t.corrupt++
-			break
-		}
-		rec := span{off: off, n: int32(length)}
-		off += recordHeaderBytes + int64(length)
-		key, _, err := t.decode(blob, crc)
-		if err != nil {
-			// Framing intact but the payload is garbage (bad CRC or gob):
-			// skip just this record and keep indexing the rest.
-			warnings = append(warnings,
-				fmt.Sprintf("store: %s: skipping corrupt record at offset %d: %v", name, rec.off, err))
-			t.corrupt++
-			continue
-		}
-		t.idx[key] = rec
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	t.size = off
-	if off < fileSize {
-		if err := f.Truncate(off); err != nil {
-			warnings = append(warnings, fmt.Sprintf("store: %s: truncate failed: %v", name, err))
-		}
-	}
-	return t, warnings, nil
+	t.log, t.corrupt = log, rec.Corrupt+rec.Torn
+	return t, rec.Warnings, nil
 }
 
 // put appends one record and installs it in the hot tier.
 func (t *tier) put(key string, val any, framed []byte) error {
-	if _, err := t.f.WriteAt(framed, t.size); err != nil {
+	off, err := t.log.Append(framed)
+	if err != nil {
 		return fmt.Errorf("store: %s: append: %w", t.name, err)
 	}
-	t.idx[key] = span{off: t.size, n: int32(len(framed) - recordHeaderBytes)}
-	t.size += int64(len(framed))
+	t.idx[key] = span{off: off, n: int32(len(framed))}
 	t.install(key, val)
 	return nil
 }
@@ -156,15 +114,11 @@ func (t *tier) get(key string) (val any, memHit, ok bool) {
 			return nil, false, false
 		}
 	}
-	blob := make([]byte, rec.n)
-	if _, err := t.f.ReadAt(blob, rec.off+recordHeaderBytes); err != nil {
+	frame, err := t.log.Read(rec.off, int(rec.n))
+	if err != nil {
 		return nil, false, false
 	}
-	length, crc, err := readHeader(t.f, rec.off)
-	if err != nil || int64(length) != int64(rec.n) {
-		return nil, false, false
-	}
-	_, v, err := t.decode(blob, crc)
+	_, v, err := t.decode(frame)
 	if err != nil {
 		return nil, false, false
 	}
@@ -220,13 +174,4 @@ func (t *tier) oldestUnpinned() *memEnt {
 		}
 	}
 	return nil
-}
-
-// close syncs and closes the log.
-func (t *tier) close() error {
-	if err := t.f.Sync(); err != nil {
-		t.f.Close()
-		return err
-	}
-	return t.f.Close()
 }
