@@ -227,7 +227,7 @@ func BenchmarkMultiQuery(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.RunMultiQueryWith(cfg, arm.workers); err != nil {
+				if _, _, err := bench.RunWorkload(cfg, "runall", arm.workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -245,13 +245,13 @@ func BenchmarkMultiQuery(b *testing.B) {
 func BenchmarkMuxStream(b *testing.B) {
 	cfg := bench.Config{Seed: 99, Scale: 0.5, Burn: true}
 	nQueries := len(bench.MultiQueryWorkload())
-	for _, arm := range []string{"runall-seq", "muxscan"} {
+	for _, arm := range []string{"runall", "muxscan"} {
 		b.Run(arm, func(b *testing.B) {
 			b.ReportAllocs()
 			var s *vqpy.Session
 			for i := 0; i < b.N; i++ {
 				var err error
-				if _, _, s, err = bench.RunMuxScanWith(cfg, arm, 1); err != nil {
+				if _, s, err = bench.RunWorkload(cfg, arm, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

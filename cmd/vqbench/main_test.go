@@ -14,24 +14,30 @@ import (
 )
 
 func TestExperimentTableIsWellFormed(t *testing.T) {
-	seen := make(map[string]bool, len(experiments))
-	for _, e := range experiments {
-		if e.name == "" || e.name == "all" {
-			t.Errorf("experiment name %q is reserved", e.name)
+	seen := make(map[string]bool, len(bench.Experiments))
+	for _, e := range bench.Experiments {
+		if e.Name == "" || e.Name == "all" {
+			t.Errorf("experiment name %q is reserved", e.Name)
 		}
-		if seen[e.name] {
-			t.Errorf("duplicate experiment %q", e.name)
+		if seen[e.Name] {
+			t.Errorf("duplicate experiment %q", e.Name)
 		}
-		seen[e.name] = true
-		if (e.run == nil) == (e.text == nil) {
-			t.Errorf("experiment %q must set exactly one of run/text", e.name)
+		seen[e.Name] = true
+		if (e.Run == nil) == (e.Text == nil) {
+			t.Errorf("experiment %q must set exactly one of Run/Text", e.Name)
 		}
-		if got, ok := findExperiment(e.name); !ok || got.name != e.name {
-			t.Errorf("findExperiment(%q) did not resolve", e.name)
+		if e.Title == "" || e.Desc == "" || strings.Contains(e.Desc, "\n") {
+			t.Errorf("experiment %q needs a title and a one-line description", e.Name)
+		}
+		if e.Gated && e.Run == nil {
+			t.Errorf("gated experiment %q reports no metrics", e.Name)
+		}
+		if got, ok := bench.FindExperiment(e.Name); !ok || got.Name != e.Name {
+			t.Errorf("FindExperiment(%q) did not resolve", e.Name)
 		}
 	}
-	if _, ok := findExperiment("no-such-experiment"); ok {
-		t.Error("findExperiment resolved an unknown name")
+	if _, ok := bench.FindExperiment("no-such-experiment"); ok {
+		t.Error("FindExperiment resolved an unknown name")
 	}
 }
 
@@ -61,45 +67,14 @@ func TestUsageDocCoversEveryExperiment(t *testing.T) {
 	}
 }
 
-// TestBaselineArtifactPairing pins the -check gate's crosscheck against
-// the repo's real baselines file: every gated BENCH_*.json artifact is
-// produced by a registered experiment and vice versa, and both failure
-// directions are detected.
-func TestBaselineArtifactPairing(t *testing.T) {
-	files, err := bench.BaselineFiles("../../bench_baselines.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("baselines reference no artifacts")
-	}
-	if err := crosscheckArtifacts(files); err != nil {
-		t.Fatalf("repo baselines and experiments table disagree: %v", err)
-	}
-
-	// A baseline file nothing produces fails loudly...
-	err = crosscheckArtifacts(append(append([]string{}, files...), "BENCH_99.json"))
-	if err == nil || !strings.Contains(err.Error(), "BENCH_99.json") {
-		t.Errorf("unproduced baseline artifact not detected: %v", err)
-	}
-	// ...and so does a produced artifact nothing gates.
-	var ungated []string
-	for _, f := range files {
-		if f != "BENCH_8.json" {
-			ungated = append(ungated, f)
-		}
-	}
-	err = crosscheckArtifacts(ungated)
-	if err == nil || !strings.Contains(err.Error(), "BENCH_8.json") || !strings.Contains(err.Error(), "fidelity") {
-		t.Errorf("ungated experiment artifact not detected: %v", err)
-	}
-}
-
 func TestFlagHelpCoversEveryExperiment(t *testing.T) {
-	help := "experiment to run (all, " + strings.Join(experimentNames(), ", ") + ")"
-	for _, name := range experimentNames() {
-		if !strings.Contains(help, name) {
-			t.Errorf("-exp help omits experiment %q", name)
+	vocabulary, lines, _ := strings.Cut(expUsage(), "\n")
+	for _, e := range bench.Experiments {
+		if !strings.Contains(vocabulary, e.Name) {
+			t.Errorf("-exp help vocabulary omits experiment %q", e.Name)
+		}
+		if !strings.Contains(lines, e.Title+": "+e.Desc) {
+			t.Errorf("-exp help omits what %q reproduces and shows", e.Name)
 		}
 	}
 }

@@ -89,11 +89,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"reflect"
 	"strings"
 	"syscall"
 
@@ -128,13 +130,24 @@ func chaosSchedule(seed uint64) vqpy.FaultSchedule {
 }
 
 func main() {
-	cfg, res, err := config.LoadServe(os.Args[1:])
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal during the drain kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole daemon: load the configuration from args and the
+// environment, build the server, attach the standing queries, listen,
+// and serve until ctx is cancelled, then drain. It returns the process
+// exit code — 2 for a refused configuration, 1 for a failed start — and
+// every path past NewServer closes the server (and with it the store).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	cfg, res, err := config.LoadServe(args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vqserve: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "vqserve: %v\n", err)
+		return 2
 	}
 	if res.File != "" {
-		fmt.Printf("vqserve: config file %s\n", res.File)
+		fmt.Fprintf(stdout, "vqserve: config file %s\n", res.File)
 	}
 
 	var inj *vqpy.FaultInjector
@@ -147,52 +160,54 @@ func main() {
 		FleetCams: cfg.FleetCams, Tenants: cfg.Tenants, Faults: inj,
 	}, cfg.SourceList())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "vqserve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "vqserve: %v\n", err)
+		return 1
 	}
+	defer s.Close()
 	// Standing queries attach before Run starts the tickers, so they
 	// (and the store archive) see the stream from frame zero. The
 	// pseudo-source "fleet" attaches a fleet-wide query to every camera
-	// at once (fleet mode only).
-	if cfg.Attach != "" {
-		for _, pair := range strings.Split(cfg.Attach, ",") {
-			sourceName, queryName, ok := strings.Cut(strings.TrimSpace(pair), ":")
-			if !ok {
-				fmt.Fprintf(os.Stderr, "vqserve: -attach %q: want source:query (or fleet:query)\n", pair)
-				os.Exit(2)
-			}
-			req := serve.AttachRequest{Source: sourceName, Query: queryName}
-			if sourceName == "fleet" {
-				req = serve.AttachRequest{Query: queryName, Fleet: true}
-			}
-			id, err := s.Attach(req)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "vqserve: -attach %s: %v\n", pair, err)
-				os.Exit(1)
-			}
-			fmt.Printf("vqserve: attached standing query %s on %s (id %d)\n", queryName, sourceName, id)
+	// at once (fleet mode only). Validate vetted every pair's shape.
+	for _, pair := range strings.Split(cfg.Attach, ",") {
+		if pair = strings.TrimSpace(pair); pair == "" {
+			continue
 		}
+		sourceName, queryName, _ := strings.Cut(pair, ":")
+		req := serve.AttachRequest{Source: sourceName, Query: queryName}
+		if sourceName == "fleet" {
+			req = serve.AttachRequest{Query: queryName, Fleet: true}
+		}
+		id, err := s.Attach(req)
+		if err != nil {
+			fmt.Fprintf(stderr, "vqserve: -attach %s: %v\n", pair, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "vqserve: attached standing query %s on %s (id %d)\n", queryName, sourceName, id)
+	}
+	// Listen before the tickers start: -addr :0 binds an ephemeral port
+	// and the banner below names the address actually bound.
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "vqserve: %v\n", err)
+		return 1
 	}
 	s.Run()
-	defer s.Close()
 
 	// SIGHUP hot reload: re-run the whole precedence chain (same args,
 	// file and environment re-read) and apply the ops-tunable subset —
 	// budget and tenants — to the running daemon. Changes to anything
 	// else are logged as needing a restart and otherwise ignored.
 	stopWatch := config.Watch(func() {
-		next, _, err := config.LoadServe(os.Args[1:])
+		next, _, err := config.LoadServe(args)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vqserve: reload rejected: %v\n", err)
+			fmt.Fprintf(stderr, "vqserve: reload rejected: %v\n", err)
 			return
 		}
 		if restart := restartOnlyChanges(cfg, next); len(restart) > 0 {
-			fmt.Printf("vqserve: reload: %s need a restart; keeping old values\n", strings.Join(restart, ", "))
+			fmt.Fprintf(stdout, "vqserve: reload: %s need a restart; keeping old values\n", strings.Join(restart, ", "))
 		}
 		s.ApplyOps(serve.OpsConfig{BudgetMS: next.BudgetMS, Tenants: next.Tenants})
-		tl := config.TenantList(next.Tenants)
-		text, _ := tl.MarshalText()
-		fmt.Printf("vqserve: config reloaded (budget %.1f ms/frame, tenants: %s)\n", next.BudgetMS, orNone(string(text)))
+		fmt.Fprintf(stdout, "vqserve: config reloaded (budget %.1f ms/frame, tenants: %s)\n", next.BudgetMS, orNone(tenantText(next.Tenants)))
 	})
 	defer stopWatch()
 
@@ -215,76 +230,51 @@ func main() {
 	}
 	tenantNote := ""
 	if len(cfg.Tenants) > 0 {
-		text, _ := config.TenantList(cfg.Tenants).MarshalText()
-		tenantNote = ", tenants: " + string(text)
+		tenantNote = ", tenants: " + tenantText(cfg.Tenants)
 	}
-	fmt.Printf("vqserve: serving %s on %s (speed %gx, budget %.1f ms/frame, store: %s%s%s, queries: %s)\n",
-		serving, cfg.Addr, cfg.Speed, cfg.BudgetMS, persistence, chaosNote, tenantNote, queries)
+	fmt.Fprintf(stdout, "vqserve: serving %s on %s (speed %gx, budget %.1f ms/frame, store: %s%s%s, queries: %s)\n",
+		serving, ln.Addr(), cfg.Speed, cfg.BudgetMS, persistence, chaosNote, tenantNote, queries)
 
-	// Graceful shutdown: SIGINT/SIGTERM drains before the listener goes
-	// down — stop admitting (readyz → 503), detach and finalize every
-	// live query, flush the store, then stop serving HTTP.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	httpSrv := &http.Server{Addr: cfg.Addr, Handler: s.Handler()}
+	// Graceful shutdown: a cancelled ctx (SIGINT/SIGTERM) drains before
+	// the listener goes down — stop admitting (readyz → 503), detach and
+	// finalize every live query, flush the store, then stop serving HTTP.
+	httpSrv := &http.Server{Handler: s.Handler()}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "vqserve: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Fprintf(stderr, "vqserve: %v\n", err)
+		return 1
 	case <-ctx.Done():
-		stop()
-		fmt.Println("vqserve: signal received, draining")
-		sum := s.Drain()
-		fmt.Printf("vqserve: drained %d queries, store flushed: %v\n", sum.QueriesDetached, sum.StoreFlushed)
-		if err := httpSrv.Shutdown(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "vqserve: shutdown: %v\n", err)
-		}
-		fmt.Println("vqserve: stopped")
 	}
+	fmt.Fprintln(stdout, "vqserve: signal received, draining")
+	sum := s.Drain()
+	fmt.Fprintf(stdout, "vqserve: drained %d queries, store flushed: %v\n", sum.QueriesDetached, sum.StoreFlushed)
+	if err := httpSrv.Shutdown(context.Background()); err != nil {
+		fmt.Fprintf(stderr, "vqserve: shutdown: %v\n", err)
+	}
+	fmt.Fprintln(stdout, "vqserve: stopped")
+	return 0
 }
 
-// restartOnlyChanges names the reloaded fields a SIGHUP cannot apply to
-// a running daemon.
+// restartOnlyChanges names the reloaded knobs a SIGHUP cannot apply to
+// a running daemon: every flag-bound field but the two ops-tunable ones.
 func restartOnlyChanges(cur, next config.Config) []string {
 	var out []string
-	if next.Addr != cur.Addr {
-		out = append(out, "addr")
-	}
-	if next.Sources != cur.Sources {
-		out = append(out, "sources")
-	}
-	if next.Seconds != cur.Seconds {
-		out = append(out, "seconds")
-	}
-	if next.Seed != cur.Seed {
-		out = append(out, "seed")
-	}
-	if next.Speed != cur.Speed {
-		out = append(out, "speed")
-	}
-	if next.Loop != cur.Loop {
-		out = append(out, "loop")
-	}
-	if next.StoreDir != cur.StoreDir {
-		out = append(out, "store")
-	}
-	if next.IndexDir != cur.IndexDir {
-		out = append(out, "index")
-	}
-	if next.Attach != cur.Attach {
-		out = append(out, "attach")
-	}
-	if next.FleetCams != cur.FleetCams {
-		out = append(out, "fleet")
-	}
-	if next.Chaos != cur.Chaos || next.ChaosSeed != cur.ChaosSeed {
-		out = append(out, "chaos")
+	c, n := reflect.ValueOf(cur), reflect.ValueOf(next)
+	for i := 0; i < c.NumField(); i++ {
+		name := c.Type().Field(i).Tag.Get("flag")
+		if name != "budget-ms" && name != "tenants" && !reflect.DeepEqual(c.Field(i).Interface(), n.Field(i).Interface()) {
+			out = append(out, name)
+		}
 	}
 	return out
+}
+
+// tenantText renders the tenant section in its compact flag encoding.
+func tenantText(tl config.TenantList) string {
+	text, _ := tl.MarshalText() // never fails
+	return string(text)
 }
 
 func orNone(s string) string {

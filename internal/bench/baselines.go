@@ -1,19 +1,19 @@
 package bench
 
-// The CI bench-regression gate: bench_baselines.json pins floors for
-// the invocation counts and wall-clock ratios the BENCH_*.json smoke
-// artifacts report, and CheckBaselines fails the workflow when a value
-// regresses beyond tolerance — turning the uploaded artifacts into an
-// enforced contract. Invocation counts come off the virtual-time ledger
-// and are deterministic for a given seed/scale, so their tolerance only
-// absorbs intentional workload drift; wall ratios absorb runner noise.
+// The bench-regression gate: bench_baselines.json pins one run
+// configuration and bounds on the scalars the gated experiments report
+// at it, and CheckBaselines runs those experiments and applies the
+// bounds in the same process — `vqbench -check` and `go test` are both
+// such a process, so no artifact file sits between measuring and
+// gating. Every gated value comes off the virtual-time ledger or an
+// answer comparison and is deterministic for the pinned configuration;
+// tolerance only absorbs intentional workload drift.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"vqpy/internal/metrics"
@@ -21,10 +21,9 @@ import (
 
 // BaselineCheck is one gated metric.
 type BaselineCheck struct {
-	// File is the benchmark JSON artifact (relative to the baselines
-	// file) holding the metric.
-	File string `json:"file"`
-	// Metric names a Report.Metrics scalar inside the artifact.
+	// Exp names the experiment (Experiments table) reporting the metric.
+	Exp string `json:"exp"`
+	// Metric names a Report.Metrics scalar of that experiment.
 	Metric string `json:"metric"`
 	// Max / Min bound the value (either or both). Max passes while
 	// value <= Max*(1+tol); Min while value >= Min*(1-tol).
@@ -37,60 +36,20 @@ type BaselineCheck struct {
 
 // Baselines is the bench_baselines.json schema.
 type Baselines struct {
+	// Seed, Scale and Workers are the one configuration every gated
+	// experiment runs at; the bounds below were measured there.
+	Seed    uint64  `json:"seed"`
+	Scale   float64 `json:"scale"`
+	Workers int     `json:"workers"`
 	// Tolerance is the default relative slack applied to every bound.
 	Tolerance float64         `json:"tolerance"`
 	Checks    []BaselineCheck `json:"checks"`
 }
 
-// BaselineFiles loads a baselines file and returns the distinct
-// artifact files its checks reference, sorted. Callers (the vqbench
-// -check gate) crosscheck this list against the experiments that
-// actually produce artifacts, so a baseline gating a file nothing
-// writes — or an artifact nothing gates — fails loudly instead of
-// passing vacuously.
-func BaselineFiles(path string) ([]string, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: baselines: %w", err)
-	}
-	var base Baselines
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return nil, fmt.Errorf("bench: baselines %s: %w", path, err)
-	}
-	seen := make(map[string]bool)
-	var files []string
-	for _, c := range base.Checks {
-		if c.File != "" && !seen[c.File] {
-			seen[c.File] = true
-			files = append(files, c.File)
-		}
-	}
-	sort.Strings(files)
-	return files, nil
-}
-
-// findMetric locates a named metric across an artifact's reports,
-// erroring on absence and on ambiguity.
-func findMetric(reports []*metrics.Report, name string) (float64, error) {
-	found := false
-	var value float64
-	for _, rep := range reports {
-		if v, ok := rep.Metric(name); ok {
-			if found {
-				return 0, fmt.Errorf("metric %q appears in more than one report", name)
-			}
-			value, found = v, true
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("metric %q not found", name)
-	}
-	return value, nil
-}
-
-// CheckBaselines loads a baselines file, reads every referenced
-// benchmark artifact and verifies all bounds. It returns a per-check
-// summary (one line each) and an error describing every violation.
+// CheckBaselines loads a baselines file, runs every experiment it names
+// once at the file's configuration and verifies all bounds. It returns
+// a per-check summary (one line each) and an error describing every
+// violation.
 func CheckBaselines(path string) (string, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -100,50 +59,84 @@ func CheckBaselines(path string) (string, error) {
 	if err := json.Unmarshal(blob, &base); err != nil {
 		return "", fmt.Errorf("bench: baselines %s: %w", path, err)
 	}
-	if len(base.Checks) == 0 {
-		return "", fmt.Errorf("bench: baselines %s: no checks", path)
+	reports, err := base.run()
+	if err != nil {
+		return "", fmt.Errorf("bench: baselines %s: %w", path, err)
 	}
-	dir := filepath.Dir(path)
+	return base.check(reports)
+}
 
-	artifacts := make(map[string][]*metrics.Report)
-	var lines, violations []string
+// run executes each experiment the checks name, once, at the pinned
+// configuration. Checks and the experiments table must agree both ways
+// first — a check naming something that is not a gated experiment, or a
+// gated experiment no check names, means the gate covers less than it
+// claims. An experiment's own self-check failing (answers diverged,
+// warm not below cold, ...) fails the gate outright.
+func (base *Baselines) run() (map[string]*metrics.Report, error) {
+	named := make(map[string]bool)
 	for _, c := range base.Checks {
-		if c.Max == nil && c.Min == nil {
-			violations = append(violations, fmt.Sprintf("%s %s: check has neither max nor min", c.File, c.Metric))
+		if e, ok := FindExperiment(c.Exp); !ok || !e.Gated {
+			return nil, fmt.Errorf("check %q names %q, which is not a gated experiment", c.Metric, c.Exp)
+		}
+		named[c.Exp] = true
+	}
+	cfg := Config{Seed: base.Seed, Scale: base.Scale, Workers: base.Workers}
+	reports := make(map[string]*metrics.Report, len(named))
+	for _, e := range Experiments {
+		if !e.Gated {
 			continue
 		}
-		reports, ok := artifacts[c.File]
-		if !ok {
-			blob, err := os.ReadFile(filepath.Join(dir, c.File))
-			if err != nil {
-				return "", fmt.Errorf("bench: baselines: %w", err)
-			}
-			if err := json.Unmarshal(blob, &reports); err != nil {
-				return "", fmt.Errorf("bench: baselines artifact %s: %w", c.File, err)
-			}
-			artifacts[c.File] = reports
+		if !named[e.Name] {
+			return nil, fmt.Errorf("gated experiment %q has no baseline check", e.Name)
 		}
-		v, err := findMetric(reports, c.Metric)
+		rep, err := e.Run(cfg)
 		if err != nil {
-			violations = append(violations, fmt.Sprintf("%s: %v", c.File, err))
-			continue
+			return nil, fmt.Errorf("experiment %s: %w", e.Name, err)
+		}
+		reports[e.Name] = rep
+	}
+	return reports, nil
+}
+
+// check applies every bound to the reports of run. A metric the
+// experiment did not report, a value that is not a finite number (NaN
+// compares false against every bound and would pass them all) and a
+// check without bounds are violations like a bound exceeded: the gate
+// must never pass vacuously.
+func (base *Baselines) check(reports map[string]*metrics.Report) (string, error) {
+	var lines, violations []string
+	violate := func(format string, args ...any) { violations = append(violations, fmt.Sprintf(format, args...)) }
+	if len(base.Checks) == 0 {
+		violate("no checks")
+	}
+	for _, c := range base.Checks {
+		v, ok := 0.0, false
+		if rep := reports[c.Exp]; rep != nil {
+			v, ok = rep.Metric(c.Metric)
 		}
 		tol := base.Tolerance
 		if c.Tolerance != nil {
 			tol = *c.Tolerance
 		}
 		status := "ok"
-		if c.Max != nil && v > *c.Max*(1+tol) {
+		switch {
+		case c.Max == nil && c.Min == nil:
+			status = "FAIL (no bounds)"
+			violate("%s %s: check has neither max nor min", c.Exp, c.Metric)
+		case !ok:
+			status = "FAIL (not reported)"
+			violate("%s %s: metric not reported by the experiment", c.Exp, c.Metric)
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			status = "FAIL (not finite)"
+			violate("%s %s = %v is not a finite number", c.Exp, c.Metric, v)
+		case c.Max != nil && v > *c.Max*(1+tol):
 			status = fmt.Sprintf("FAIL (above max %.4g +%.0f%%)", *c.Max, tol*100)
-			violations = append(violations, fmt.Sprintf("%s %s = %.4g exceeds max %.4g (tolerance %.0f%%)",
-				c.File, c.Metric, v, *c.Max, tol*100))
-		}
-		if c.Min != nil && v < *c.Min*(1-tol) {
+			violate("%s %s = %.4g exceeds max %.4g (tolerance %.0f%%)", c.Exp, c.Metric, v, *c.Max, tol*100)
+		case c.Min != nil && v < *c.Min*(1-tol):
 			status = fmt.Sprintf("FAIL (below min %.4g -%.0f%%)", *c.Min, tol*100)
-			violations = append(violations, fmt.Sprintf("%s %s = %.4g below min %.4g (tolerance %.0f%%)",
-				c.File, c.Metric, v, *c.Min, tol*100))
+			violate("%s %s = %.4g below min %.4g (tolerance %.0f%%)", c.Exp, c.Metric, v, *c.Min, tol*100)
 		}
-		lines = append(lines, fmt.Sprintf("%-14s %-32s %10.4g  %s", c.File, c.Metric, v, status))
+		lines = append(lines, fmt.Sprintf("%-10s %-32s %10.4g  %s", c.Exp, c.Metric, v, status))
 	}
 	summary := strings.Join(lines, "\n")
 	if len(violations) > 0 {

@@ -24,7 +24,7 @@ type Config struct {
 	// mirrors virtual time (benchmarks set it; tests leave it off).
 	Burn bool
 	// Workers sets the parallel scheduler's pool size for multi-query
-	// experiments (0 picks the experiment default).
+	// experiments (0 picks the default, 4).
 	Workers int
 }
 
@@ -35,9 +35,14 @@ func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
+	if c.Workers <= 0 {
+		c.Workers = 4
+	}
 	return c
 }
 
+// session builds a session from the Config — the one place the harness
+// constructs sessions (the arm runner adds offload latency on top).
 func (c Config) session() *vqpy.Session {
 	s := vqpy.NewSession(c.Seed)
 	s.SetNoBurn(!c.Burn)
@@ -114,7 +119,3 @@ func cvipStyleBusQuery(name string, color video.Color, dir geom.Direction) *core
 		)).
 		FrameOutput(core.Sel("bus", core.PropTrackID))
 }
-
-// Test helpers shared by the harness tests.
-
-func cfgSessionHelper(cfg Config) *vqpy.Session { return cfg.session() }

@@ -301,22 +301,25 @@ func TestMuxScanShape(t *testing.T) {
 	if len(rep.Rows) != 4 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	// Rows: isolated, runall-seq, runall-par, muxscan. Detector
-	// invocations must collapse from isolated to the cache-sharing
-	// modes, and tracker invocations must collapse only under muxscan.
-	isoDet := cell(t, rep.Rows[0][3])
-	seqDet := cell(t, rep.Rows[1][3])
-	muxDet := cell(t, rep.Rows[3][3])
+	// Detector invocations must collapse from isolated to the
+	// cache-sharing modes, and tracker invocations must collapse only
+	// under muxscan.
+	inv := func(kind, mode string) float64 {
+		v, ok := rep.Metric("muxscan_" + kind + "_inv_" + mode)
+		if !ok {
+			t.Fatalf("metric muxscan_%s_inv_%s missing: %v", kind, mode, rep.Metrics)
+		}
+		return v
+	}
+	isoDet, seqDet, muxDet := inv("detect", "isolated"), inv("detect", "runall-seq"), inv("detect", "muxscan")
 	if seqDet >= isoDet || muxDet > seqDet {
 		t.Errorf("detector invocations: isolated=%v seq=%v mux=%v", isoDet, seqDet, muxDet)
 	}
-	seqTrack := cell(t, rep.Rows[1][4])
-	muxTrack := cell(t, rep.Rows[3][4])
-	if muxTrack >= seqTrack {
+	if seqTrack, muxTrack := inv("tracker", "runall-seq"), inv("tracker", "muxscan"); muxTrack >= seqTrack {
 		t.Errorf("tracker invocations did not drop: seq=%v mux=%v", seqTrack, muxTrack)
 	}
 	// Total virtual work of the shared pass must not exceed the
-	// sequential scheduler's.
+	// sequential scheduler's (a report cell; no metric carries it).
 	if muxMS, seqMS := cell(t, rep.Rows[3][5]), cell(t, rep.Rows[1][5]); muxMS > seqMS {
 		t.Errorf("shared scan charged more virtual time (%v) than sequential (%v)", muxMS, seqMS)
 	}
@@ -325,7 +328,7 @@ func TestMuxScanShape(t *testing.T) {
 func TestStreamingFacade(t *testing.T) {
 	// The real-time mode: feed frames one by one through the facade.
 	cfg := smallCfg().withDefaults()
-	s := cfgSessionHelper(cfg)
+	s := cfg.session()
 	v := video.CityFlow(cfg.Seed, 30).Generate()
 	q := vqpyRedCarQuery()
 	st, err := s.OpenStream(q, v, v.FPS, vqpy.WithoutFrameFilters(), vqpy.WithoutSpecialized())

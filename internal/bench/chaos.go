@@ -28,8 +28,6 @@ package bench
 import (
 	"fmt"
 	"os"
-	"reflect"
-	"time"
 
 	"vqpy"
 
@@ -57,7 +55,7 @@ func chaosSchedule(seed uint64) vqpy.FaultSchedule {
 			// and while both tiers' breakers cool down the scan carries
 			// tracker state forward. Pinned early enough to land inside
 			// the clip at every bench scale (the 10fps clip has 30 frames
-			// at the CI smoke's -scale 0.25). Listed first so it wins
+			// at the gate's scale 0.25). Listed first so it wins
 			// over the transient error rule inside the window.
 			{Kind: vqpy.FaultModelError, Rate: 1, FromFrame: 18, ToFrame: 22, Persist: 99},
 			// Transient faults: absorbed by per-attempt retry with zero
@@ -91,7 +89,6 @@ func chaosStoreSchedule(seed uint64) vqpy.FaultSchedule {
 type chaosFleetRun struct {
 	red, people map[string]*vqpy.Result
 	stats       serve.Stats
-	wall        time.Duration
 	ticks       int
 }
 
@@ -116,7 +113,6 @@ func runChaosFleet(cfg Config, inj *vqpy.FaultInjector) (*chaosFleetRun, error) 
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	run := &chaosFleetRun{}
 	// Stalled frames re-poll and quarantined cameras probe on a cadence,
 	// so a camera can need several ticks per frame; the cap only guards
@@ -139,7 +135,6 @@ func runChaosFleet(cfg Config, inj *vqpy.FaultInjector) (*chaosFleetRun, error) 
 	if !chaosAllDone(s) {
 		return nil, fmt.Errorf("bench: chaos fleet did not drain within %d ticks", maxTicks)
 	}
-	run.wall = time.Since(start)
 	run.stats = s.Streamz()
 	if run.red, err = s.Detach("", redID); err != nil {
 		return nil, err
@@ -148,6 +143,15 @@ func runChaosFleet(cfg Config, inj *vqpy.FaultInjector) (*chaosFleetRun, error) 
 		return nil, err
 	}
 	return run, nil
+}
+
+// chaosFleetArm is runChaosFleet as an arm. The daemon builds its own
+// sessions, so the arm asks the runner for none and only its wall time
+// is read.
+func chaosFleetArm(name string, cfg Config, inj *vqpy.FaultInjector) arm[*chaosFleetRun] {
+	return arm[*chaosFleetRun]{name: name, body: func(sessions) (*chaosFleetRun, error) {
+		return runChaosFleet(cfg, inj)
+	}}
 }
 
 // chaosAllDone reports whether every camera drained its clip.
@@ -192,11 +196,18 @@ func chaosParity(base, chaos map[string]*vqpy.Result) (int, int) {
 	return match, total
 }
 
-// chaosIdentical reports bit-identity of one query's per-source
-// results (the no-op gate: enabled injector, empty schedule, zero
-// drift).
+// chaosIdentical reports identity of one query's per-source answers
+// (the no-op gate: enabled injector, empty schedule, zero drift).
 func chaosIdentical(a, b map[string]*vqpy.Result) bool {
-	return reflect.DeepEqual(a, b)
+	if len(a) != len(b) {
+		return false
+	}
+	for name, res := range a {
+		if !sameResult(res, b[name]) {
+			return false
+		}
+	}
+	return true
 }
 
 // chaosDegraded sums degraded frames over both queries of a run.
@@ -255,20 +266,14 @@ func RunChaos(cfg Config) (rep *metrics.Report, err error) {
 	}()
 	cfg = cfg.withDefaults()
 
-	base, err := runChaosFleet(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
 	injB := vqpy.NewFaultInjector(chaosSchedule(cfg.Seed + 1))
-	chaos, err := runChaosFleet(cfg, injB)
-	if err != nil {
-		return nil, err
-	}
 	injC := vqpy.NewFaultInjector(vqpy.FaultSchedule{Seed: cfg.Seed + 1})
-	noop, err := runChaosFleet(cfg, injC)
+	runs, stats, err := runArms(cfg, chaosFleetArm("baseline", cfg, nil),
+		chaosFleetArm("chaos", cfg, injB), chaosFleetArm("no-op injector", cfg, injC))
 	if err != nil {
 		return nil, err
 	}
+	base, chaos, noop := runs[0], runs[1], runs[2]
 	storeBase, _, err := runChaosStore(cfg, nil)
 	if err != nil {
 		return nil, err
@@ -283,9 +288,9 @@ func RunChaos(cfg Config) (rep *metrics.Report, err error) {
 		Title:  "E19: chaos — deterministic fault injection across the serving stack",
 		Header: []string{"phase", "wall ms", "ticks", "degraded frames"},
 	}
-	rep.AddRow("baseline", fmt.Sprintf("%.1f", float64(base.wall.Microseconds())/1000), fmt.Sprint(base.ticks), "0")
-	rep.AddRow("chaos", fmt.Sprintf("%.1f", float64(chaos.wall.Microseconds())/1000), fmt.Sprint(chaos.ticks), fmt.Sprint(chaosDegraded(chaos)))
-	rep.AddRow("no-op injector", fmt.Sprintf("%.1f", float64(noop.wall.Microseconds())/1000), fmt.Sprint(noop.ticks), fmt.Sprint(chaosDegraded(noop)))
+	for i, run := range runs {
+		rep.AddRow(stats[i].name, metrics.Ms(stats[i].wallMS), fmt.Sprint(run.ticks), fmt.Sprint(chaosDegraded(run)))
+	}
 
 	matchR, totalR := chaosParity(base.red, chaos.red)
 	matchP, totalP := chaosParity(base.people, chaos.people)
@@ -300,8 +305,7 @@ func RunChaos(cfg Config) (rep *metrics.Report, err error) {
 		trips = c.Get("breaker_trips")
 	}
 	quarantines = chaos.stats.Counters["quarantine_events"]
-	storeParity := boolMetric(reflect.DeepEqual(storeBase.Matched, storeChaos.Matched) &&
-		reflect.DeepEqual(storeBase.Hits, storeChaos.Hits))
+	storeParity := boolMetric(sameResult(storeBase, storeChaos))
 	memOnly := 0
 	if storeStats != nil {
 		memOnly = storeStats.Tiers.MemOnlyTiers

@@ -21,14 +21,10 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
-	"time"
 
 	"vqpy"
 
-	"vqpy/internal/core"
 	"vqpy/internal/metrics"
-	"vqpy/internal/video"
 )
 
 // churnSpec schedules one query's residency.
@@ -45,50 +41,18 @@ type churnSpec struct {
 // independently.
 func ChurnWorkload() []churnSpec {
 	carQuery := func(name, color string) func() *vqpy.Query {
-		return func() *vqpy.Query {
-			return vqpy.NewQuery(name).
-				Use("car", vqpy.Car()).
-				Where(vqpy.And(
-					vqpy.P("car", vqpy.PropScore).Gt(0.6),
-					vqpy.P("car", "color").Eq(color),
-				)).
-				FrameOutput(vqpy.Sel("car", vqpy.PropTrackID), vqpy.Sel("car", "color"))
-		}
+		return func() *vqpy.Query { return colorCarQuery(name, color) }
 	}
 	return []churnSpec{
 		{"RedCar", carQuery("RedCar", "red"), 0, 1},
-		{"People", func() *vqpy.Query {
-			return vqpy.NewQuery("People").
-				Use("p", vqpy.Person()).
-				Where(vqpy.P("p", vqpy.PropScore).Gt(0.5)).
-				FrameOutput(vqpy.Sel("p", vqpy.PropTrackID))
-		}, 0, 1},
-		{"Plates", func() *vqpy.Query {
-			return vqpy.NewQuery("Plates").
-				Use("car", vqpy.Car()).
-				Where(vqpy.P("car", vqpy.PropScore).Gt(0.7)).
-				FrameOutput(vqpy.Sel("car", "plate"))
-		}, 0.1, 0.75},
-		{"WhiteCars", func() *vqpy.Query {
-			t := core.NewVObj("WhiteVehicle", video.ClassCar).
-				Detector("yolov8m").
-				StatelessModel("color", "color_detect", true)
-			return vqpy.NewQuery("WhiteCars").
-				Use("w", t).
-				Where(vqpy.And(
-					vqpy.P("w", vqpy.PropScore).Gt(0.5),
-					vqpy.P("w", "color").Eq("white"),
-				))
-		}, 0.2, 1},
+		{"People", peopleQuery, 0, 1},
+		{"Plates", platesQuery, 0.1, 0.75},
+		{"WhiteCars", whiteCarsQuery, 0.2, 1},
 		{"BlueCars", carQuery("BlueCars", "blue"), 0.3, 0.75},
 		{"Speeding", func() *vqpy.Query {
 			return vqpy.SpeedQuery("Speeding", "f", vqpy.Car(), 12)
 		}, 0.4, 1},
-		{"Balls", func() *vqpy.Query {
-			return vqpy.NewQuery("Balls").
-				Use("b", core.NewVObj("CheapBall", video.ClassBall).Detector("ball_person_cheap")).
-				Where(vqpy.P("b", vqpy.PropScore).Gt(0.3))
-		}, 0.5, 0.75},
+		{"Balls", ballsQuery, 0.5, 0.75},
 		{"BlackCars", carQuery("BlackCars", "black"), 0.6, 1},
 	}
 }
@@ -107,170 +71,138 @@ func churnWindow(spec churnSpec, n int) (int, int) {
 	return arrive, depart
 }
 
-// RunChurnShared executes the churn schedule on one dynamic MuxStream
-// and returns the per-spec results (detached queries report their
-// residency window), elapsed wall time and the session.
-func RunChurnShared(cfg Config) ([]*vqpy.Result, time.Duration, *vqpy.Session, error) {
-	v := MultiQueryVideo(cfg)
-	n := len(v.Frames)
-	specs := ChurnWorkload()
-	s := vqpy.NewSession(cfg.Seed)
-	s.SetNoBurn(!cfg.Burn)
-	if cfg.Burn {
-		s.SetOffloadLatency(multiQueryOffloadNSPerMS)
-	}
-	m, err := s.Serve(v.FPS)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	results := make([]*vqpy.Result, len(specs))
-	lanes := make([]int, len(specs))
-	for i := range lanes {
-		lanes[i] = -1
-	}
-	start := time.Now()
-	for f := 0; f < n; f++ {
-		for i, spec := range specs {
-			arrive, depart := churnWindow(spec, n)
-			if f == arrive {
-				if lanes[i], _, err = s.AttachQuery(m, spec.build(), v); err != nil {
-					return nil, 0, nil, err
+// churnSharedArm executes the churn schedule on one dynamic MuxStream;
+// its answers are the per-spec results (detached queries report their
+// residency window).
+func churnSharedArm(v *vqpy.Video, specs []churnSpec) arm[[]*vqpy.Result] {
+	return arm[[]*vqpy.Result]{name: "shared", body: func(newSession sessions) ([]*vqpy.Result, error) {
+		s, n := newSession(), len(v.Frames)
+		m, err := s.Serve(v.FPS)
+		if err != nil {
+			return nil, err
+		}
+		results := make([]*vqpy.Result, len(specs))
+		lanes := make([]int, len(specs))
+		for i := range lanes {
+			lanes[i] = -1
+		}
+		for f := 0; f < n; f++ {
+			for i, spec := range specs {
+				arrive, depart := churnWindow(spec, n)
+				if f == arrive {
+					if lanes[i], _, err = s.AttachQuery(m, spec.build(), v); err != nil {
+						return nil, err
+					}
+				}
+				if f == depart && lanes[i] >= 0 {
+					if results[i], err = m.Detach(lanes[i]); err != nil {
+						return nil, err
+					}
+					lanes[i] = -1
 				}
 			}
-			if f == depart && lanes[i] >= 0 {
-				if results[i], err = m.Detach(lanes[i]); err != nil {
-					return nil, 0, nil, err
+			if _, err := m.Feed(v.FrameAt(f)); err != nil {
+				return nil, err
+			}
+		}
+		for _, res := range m.Close() {
+			for i := range specs {
+				if results[i] == nil && res.Query == specs[i].name {
+					results[i] = res
+					break
 				}
-				lanes[i] = -1
 			}
 		}
-		if _, err := m.Feed(v.FrameAt(f)); err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	for _, res := range m.Close() {
-		for i := range specs {
-			if results[i] == nil && res.Query == specs[i].name {
-				results[i] = res
-				break
-			}
-		}
-	}
-	return results, time.Since(start), s, nil
+		return results, nil
+	}}
 }
 
-// RunChurnPerQuery executes the same schedule with one private Stream
-// per query over its residency window — no shared cache, no shared
-// scans: the no-sharing baseline.
-func RunChurnPerQuery(cfg Config) ([]*vqpy.Result, time.Duration, *vqpy.Session, error) {
-	v := MultiQueryVideo(cfg)
-	n := len(v.Frames)
-	specs := ChurnWorkload()
-	s := vqpy.NewSession(cfg.Seed)
-	s.SetNoBurn(!cfg.Burn)
-	if cfg.Burn {
-		s.SetOffloadLatency(multiQueryOffloadNSPerMS)
-	}
-	results := make([]*vqpy.Result, len(specs))
-	start := time.Now()
-	for i, spec := range specs {
-		arrive, depart := churnWindow(spec, n)
-		st, err := s.OpenStream(spec.build(), v, v.FPS)
-		if err != nil {
-			return nil, 0, nil, err
+// churnPerQueryArm executes the same schedule with one private Stream
+// per query over its residency window — no shared scans: the
+// no-sharing baseline.
+func churnPerQueryArm(v *vqpy.Video, specs []churnSpec) arm[[]*vqpy.Result] {
+	return arm[[]*vqpy.Result]{name: "perquery", body: func(newSession sessions) ([]*vqpy.Result, error) {
+		s, n := newSession(), len(v.Frames)
+		results := make([]*vqpy.Result, len(specs))
+		for i, spec := range specs {
+			arrive, depart := churnWindow(spec, n)
+			st, err := s.OpenStream(spec.build(), v, v.FPS)
+			if err != nil {
+				return nil, err
+			}
+			for f := arrive; f < depart; f++ {
+				if _, err := st.Feed(v.FrameAt(f)); err != nil {
+					return nil, err
+				}
+			}
+			results[i] = st.Close()
 		}
-		for f := arrive; f < depart; f++ {
-			if _, err := st.Feed(v.FrameAt(f)); err != nil {
-				return nil, 0, nil, err
+		return results, nil
+	}}
+}
+
+// churnReferenceArm is the detach contract's reference: a fresh shared
+// pass over exactly the full-duration queries, which the churned
+// stream's answers for those queries must equal bit for bit. Its
+// answers are indexed like specs, nil for queries that come or go.
+func churnReferenceArm(v *vqpy.Video, specs []churnSpec) arm[[]*vqpy.Result] {
+	return arm[[]*vqpy.Result]{name: "reference", body: func(newSession sessions) ([]*vqpy.Result, error) {
+		var stay []vqpy.QueryNode
+		var stayIdx []int
+		for i, spec := range specs {
+			if spec.arriveAt == 0 && spec.departAt >= 1 {
+				stay = append(stay, spec.build())
+				stayIdx = append(stayIdx, i)
 			}
 		}
-		results[i] = st.Close()
-	}
-	return results, time.Since(start), s, nil
+		runs, err := newSession().ExecuteShared(stay, v)
+		if err != nil {
+			return nil, err
+		}
+		results := make([]*vqpy.Result, len(specs))
+		for j, run := range runs {
+			results[stayIdx[j]] = run.Basic
+		}
+		return results, nil
+	}}
 }
 
 // RunChurn is the E16 experiment entry point used by vqbench.
 func RunChurn(cfg Config) (*metrics.Report, error) {
 	cfg = cfg.withDefaults()
 	specs := ChurnWorkload()
+	v := MultiQueryVideo(cfg)
 
-	shared, sharedWall, sharedSession, err := RunChurnShared(cfg)
+	answers, stats, err := runArms(cfg, churnSharedArm(v, specs), churnPerQueryArm(v, specs), churnReferenceArm(v, specs))
 	if err != nil {
 		return nil, err
 	}
-	perq, perqWall, perqSession, err := RunChurnPerQuery(cfg)
-	if err != nil {
-		return nil, err
-	}
+	shared, perq, ref := answers[0], answers[1], answers[2]
+	sharedStats, perqStats := stats[0], stats[1]
 
 	rep := &metrics.Report{
 		Title:  "E16: attach/detach churn — dynamic shared stream vs per-query streams",
 		Header: []string{"mode", "wall ms", "detect inv", "tracker inv", "virtual ms"},
 	}
-	sharedClock, perqClock := sharedSession.Clock(), perqSession.Clock()
-	sharedTrk, perqTrk := sharedClock.Invocations("tracker"), perqClock.Invocations("tracker")
-	sharedDet, perqDet := detectorInvocations(sharedClock), detectorInvocations(perqClock)
-	sharedMS := float64(sharedWall.Microseconds()) / 1000
-	perqMS := float64(perqWall.Microseconds()) / 1000
-	rep.AddRow("perquery", fmt.Sprintf("%.1f", perqMS), fmt.Sprint(perqDet),
-		fmt.Sprint(perqTrk), fmt.Sprintf("%.0f", perqClock.TotalMS()))
-	rep.AddRow("shared", fmt.Sprintf("%.1f", sharedMS), fmt.Sprint(sharedDet),
-		fmt.Sprint(sharedTrk), fmt.Sprintf("%.0f", sharedClock.TotalMS()))
+	rep.AddRow(perqStats.row()...)
+	rep.AddRow(sharedStats.row()...)
+	sharedStats.setMetrics(rep, "churn_shared_%s", "tracker_inv", "detect_inv")
+	perqStats.setMetrics(rep, "churn_perquery_%s", "tracker_inv", "detect_inv")
+	setRatio(rep, "churn_tracker_ratio", float64(sharedStats.tracker), float64(perqStats.tracker))
+	setRatio(rep, "churn_detect_ratio", float64(sharedStats.detect), float64(perqStats.detect))
+	setRatio(rep, "churn_wall_ratio", sharedStats.wallMS, perqStats.wallMS)
 
-	arrivals, departures := 0, 0
-	for _, spec := range specs {
-		arrivals++
+	// Correctness: full-duration queries equal the reference, and
+	// detached queries still answered their residency windows.
+	identical := true
+	departures := 0
+	for i, spec := range specs {
 		if spec.departAt < 1 {
 			departures++
 		}
-	}
-	rep.SetMetric("churn_shared_tracker_inv", float64(sharedTrk))
-	rep.SetMetric("churn_perquery_tracker_inv", float64(perqTrk))
-	rep.SetMetric("churn_shared_detect_inv", float64(sharedDet))
-	rep.SetMetric("churn_perquery_detect_inv", float64(perqDet))
-	if perqTrk > 0 {
-		rep.SetMetric("churn_tracker_ratio", float64(sharedTrk)/float64(perqTrk))
-	}
-	if perqDet > 0 {
-		rep.SetMetric("churn_detect_ratio", float64(sharedDet)/float64(perqDet))
-	}
-	if perqMS > 0 {
-		rep.SetMetric("churn_wall_ratio", sharedMS/perqMS)
-	}
-
-	// Correctness: the full-duration queries must be bit-identical to a
-	// fresh shared stream of exactly that subset — the detach contract.
-	v := MultiQueryVideo(cfg)
-	refSession := vqpy.NewSession(cfg.Seed)
-	refSession.SetNoBurn(true)
-	var stayQueries []*vqpy.Query
-	var stayIdx []int
-	for i, spec := range specs {
-		if spec.arriveAt == 0 && spec.departAt >= 1 {
-			stayQueries = append(stayQueries, spec.build())
-			stayIdx = append(stayIdx, i)
-		}
-	}
-	mRef, err := refSession.OpenShared(stayQueries, v, v.FPS)
-	if err != nil {
-		return nil, err
-	}
-	for f := 0; f < len(v.Frames); f++ {
-		if _, err := mRef.Feed(v.FrameAt(f)); err != nil {
-			return nil, err
-		}
-	}
-	identical := true
-	for j, ref := range mRef.Close() {
-		got := shared[stayIdx[j]]
-		if got == nil || !reflect.DeepEqual(ref.Matched, got.Matched) ||
-			!reflect.DeepEqual(ref.Hits, got.Hits) ||
-			ref.Count != got.Count || !reflect.DeepEqual(ref.TrackIDs, got.TrackIDs) {
+		if ref[i] != nil && !sameResult(ref[i], shared[i]) {
 			identical = false
 		}
-	}
-	// Detached queries still answered their residency windows.
-	for i, spec := range specs {
 		arrive, depart := churnWindow(spec, len(v.Frames))
 		if shared[i] == nil || shared[i].FramesProcessed != depart-arrive ||
 			perq[i] == nil || perq[i].FramesProcessed != depart-arrive {
@@ -279,17 +211,15 @@ func RunChurn(cfg Config) (*metrics.Report, error) {
 	}
 
 	rep.AddNote("queries: %d (%d arrivals, %d departures); full-duration results identical to fresh shared stream: %v",
-		len(specs), arrivals, departures, identical)
+		len(specs), len(specs), departures, identical)
 	rep.AddNote("expected shape: shared tracker/detector invocations strictly below per-query counts — "+
 		"the car scan group serves %d queries with one detect/track per frame", 4)
-	if !cfg.Burn {
-		rep.AddNote("burn disabled: wall times reflect engine overhead only, not model latency")
-	}
+	noteBurn(rep, cfg)
 	if !identical {
 		return rep, fmt.Errorf("bench: churn shared results diverge from fresh shared stream")
 	}
-	if sharedTrk >= perqTrk {
-		return rep, fmt.Errorf("bench: shared tracker invocations %d not below per-query %d", sharedTrk, perqTrk)
+	if sharedStats.tracker >= perqStats.tracker {
+		return rep, fmt.Errorf("bench: shared tracker invocations %d not below per-query %d", sharedStats.tracker, perqStats.tracker)
 	}
 	return rep, nil
 }

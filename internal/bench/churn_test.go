@@ -1,14 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"vqpy/internal/metrics"
-)
+import "testing"
 
 // TestChurnShape runs the E16 experiment at test scale and pins its
 // contract: shared invocation counts strictly below per-query, ratios
@@ -35,121 +27,5 @@ func TestChurnShape(t *testing.T) {
 	}
 	if det, ok := rep.Metric("churn_shared_detect_inv"); !ok || det <= 0 {
 		t.Errorf("churn_shared_detect_inv = %v, %v", det, ok)
-	}
-}
-
-// writeBaselineFixture writes a baselines file plus one artifact into a
-// temp dir and returns the baselines path.
-func writeBaselineFixture(t *testing.T, dir string, baselines string, artifacts map[string][]*metrics.Report) string {
-	t.Helper()
-	for name, reports := range artifacts {
-		blob, err := json.Marshal(reports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(dir, "baselines.json")
-	if err := os.WriteFile(path, []byte(baselines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestCheckBaselines exercises the regression gate: passing bounds,
-// violations beyond tolerance, values saved by tolerance, and missing
-// metrics all behave as CI relies on.
-func TestCheckBaselines(t *testing.T) {
-	rep := &metrics.Report{Title: "fixture"}
-	rep.SetMetric("trk", 600)
-	rep.SetMetric("ratio", 0.60)
-	artifacts := map[string][]*metrics.Report{"B.json": {rep}}
-
-	ok := `{"tolerance":0.1,"checks":[
-		{"file":"B.json","metric":"trk","max":600},
-		{"file":"B.json","metric":"trk","min":600},
-		{"file":"B.json","metric":"ratio","max":0.85,"tolerance":0}
-	]}`
-	path := writeBaselineFixture(t, t.TempDir(), ok, artifacts)
-	summary, err := CheckBaselines(path)
-	if err != nil {
-		t.Fatalf("passing baselines failed: %v\n%s", err, summary)
-	}
-	if !strings.Contains(summary, "trk") {
-		t.Errorf("summary missing metric lines:\n%s", summary)
-	}
-
-	// Within tolerance: 600 against max 570 (+10% → 627) passes; with
-	// tolerance 0 it fails.
-	saved := `{"tolerance":0.1,"checks":[{"file":"B.json","metric":"trk","max":570}]}`
-	path = writeBaselineFixture(t, t.TempDir(), saved, artifacts)
-	if _, err := CheckBaselines(path); err != nil {
-		t.Errorf("tolerance did not absorb 600 vs max 570: %v", err)
-	}
-	strict := `{"tolerance":0,"checks":[{"file":"B.json","metric":"trk","max":570}]}`
-	path = writeBaselineFixture(t, t.TempDir(), strict, artifacts)
-	if _, err := CheckBaselines(path); err == nil {
-		t.Error("regression beyond tolerance passed")
-	}
-
-	missing := `{"tolerance":0.1,"checks":[{"file":"B.json","metric":"nope","max":1}]}`
-	path = writeBaselineFixture(t, t.TempDir(), missing, artifacts)
-	if _, err := CheckBaselines(path); err == nil {
-		t.Error("missing metric passed")
-	}
-
-	unbounded := `{"tolerance":0.1,"checks":[{"file":"B.json","metric":"trk"}]}`
-	path = writeBaselineFixture(t, t.TempDir(), unbounded, artifacts)
-	if _, err := CheckBaselines(path); err == nil {
-		t.Error("check without bounds passed")
-	}
-
-	empty := `{"tolerance":0.1,"checks":[]}`
-	path = writeBaselineFixture(t, t.TempDir(), empty, artifacts)
-	if _, err := CheckBaselines(path); err == nil {
-		t.Error("empty baselines passed")
-	}
-
-	if _, err := CheckBaselines(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing baselines file passed")
-	}
-}
-
-// TestRepoBaselinesConsistent guards the checked-in bench_baselines.json
-// itself: every gated metric must be one the experiments actually emit,
-// so the CI gate can never pass vacuously on a renamed metric.
-func TestRepoBaselinesConsistent(t *testing.T) {
-	blob, err := os.ReadFile("../../bench_baselines.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base Baselines
-	if err := json.Unmarshal(blob, &base); err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Checks) == 0 {
-		t.Fatal("no checks in bench_baselines.json")
-	}
-
-	cfg := Config{Seed: 11, Scale: 0.2}
-	emitted := map[string]bool{}
-	for _, run := range []func(Config) (*metrics.Report, error){RunMultiQuery, RunMuxScan, RunChurn, RunRescan, RunFleet, RunChaos, RunSearch, RunFidelity, RunText} {
-		rep, err := run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name := range rep.Metrics {
-			emitted[name] = true
-		}
-	}
-	for _, c := range base.Checks {
-		if !emitted[c.Metric] {
-			t.Errorf("baseline check %q gates a metric no experiment emits", c.Metric)
-		}
-		if c.Max == nil && c.Min == nil {
-			t.Errorf("baseline check %q has no bounds", c.Metric)
-		}
 	}
 }

@@ -15,22 +15,11 @@ package bench
 import (
 	"fmt"
 	"os"
-	"reflect"
 
 	"vqpy"
 
 	"vqpy/internal/metrics"
 )
-
-// fidelityBenchQuery is the fidelity workload: confidently detected
-// cars with track ids and plates — stateless residual properties, so
-// the query is fidelity-replayable (same gate as index verification).
-func fidelityBenchQuery() *vqpy.Query {
-	return vqpy.NewQuery("FidelityCars").
-		Use("car", vqpy.Car()).
-		Where(vqpy.P("car", vqpy.PropScore).Gt(0.6)).
-		FrameOutput(vqpy.Sel("car", vqpy.PropTrackID), vqpy.Sel("car", "plate"))
-}
 
 // verdictAgreement is the fraction of frames on which two per-frame
 // verdict vectors agree.
@@ -72,10 +61,11 @@ func RunFidelity(cfg Config) (*metrics.Report, error) {
 	// is what the live path already is). Each pass scans only the tier's
 	// stride-aligned frames with the tier's detector and calibrates its
 	// accuracy into the store's fidelity manifest.
+	q := func() *vqpy.Query { return carPlateQuery("FidelityCars") }
 	tiers := vqpy.FidelityLattice("")[1:]
 	entries := make([]vqpy.FidelityEntry, 0, len(tiers))
 	for _, fid := range tiers {
-		e, err := cfg.session().ArchiveFidelity(fidelityBenchQuery(), v, fid, 0, vqpy.WithStore(st))
+		e, err := cfg.armSession().ArchiveFidelity(q(), v, fid, 0, vqpy.WithStore(st))
 		if err != nil {
 			return nil, err
 		}
@@ -89,28 +79,27 @@ func RunFidelity(cfg Config) (*metrics.Report, error) {
 		return nil, err
 	}
 	defer refStore.Close()
-	live, err := cfg.session().ExecuteFidelity(fidelityBenchQuery(), v, 0, vqpy.WithStore(refStore))
+	live, err := cfg.armSession().ExecuteFidelity(q(), v, 0, vqpy.WithStore(refStore))
 	if err != nil {
 		return nil, err
 	}
 
 	// Budgeted run: a 0.9 floor lets the planner serve from the cheapest
 	// satisfying tier, live-scanning nothing (full coverage).
-	budgeted, err := cfg.session().ExecuteFidelity(fidelityBenchQuery(), v, 0,
-		vqpy.WithStore(st), vqpy.WithMinAccuracy(0.9))
+	budgeted, err := cfg.armSession().ExecuteFidelity(q(), v, 0, vqpy.WithStore(st), vqpy.WithMinAccuracy(0.9))
 	if err != nil {
 		return nil, err
 	}
 	chosen := budgeted.Decision.ChosenCandidate()
 
 	// Strict run over the warm tier archive: the tiers must be invisible.
-	strict, err := cfg.session().ExecuteFidelity(fidelityBenchQuery(), v, 0, vqpy.WithStore(st))
+	strict, err := cfg.armSession().ExecuteFidelity(q(), v, 0, vqpy.WithStore(st))
 	if err != nil {
 		return nil, err
 	}
 	strictIdentical := strict.Decision.ChosenCandidate().Live &&
-		reflect.DeepEqual(strict.Matched, live.Matched) &&
-		reflect.DeepEqual(strict.Hits, live.Hits)
+		sameResult(&vqpy.Result{Matched: strict.Matched, Hits: strict.Hits},
+			&vqpy.Result{Matched: live.Matched, Hits: live.Hits})
 
 	costRatio := 0.0
 	if live.VirtualMS > 0 {
@@ -140,7 +129,7 @@ func RunFidelity(cfg Config) (*metrics.Report, error) {
 		rep.AddNote("tier %s: covered %d frames, calibrated accuracy %.3f", e.Key, e.Covered, e.Accuracy)
 	}
 	rep.AddNote("budget 0.9 chose %s: %.1fx cheaper than live, %.1f%% verdict agreement",
-		chosen.Key, 1/maxFloat(costRatio, 1e-9), 100*accuracy)
+		chosen.Key, 1/max(costRatio, 1e-9), 100*accuracy)
 	rep.AddNote("expected shape: replay costs bookkeeping, not model time — archive-served " +
 		"queries beat the live scan by >=5x while staying inside the declared accuracy budget")
 
@@ -160,11 +149,4 @@ func RunFidelity(cfg Config) (*metrics.Report, error) {
 		return rep, fmt.Errorf("bench: strict query over the warm tier archive diverged from the archive-free run")
 	}
 	return rep, nil
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

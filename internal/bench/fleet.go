@@ -22,8 +22,7 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
-	"time"
+	"slices"
 
 	"vqpy"
 
@@ -50,99 +49,79 @@ func fleetRedCarQuery(reg *vqpy.GlobalRegistry, source string) *vqpy.Query {
 		FrameOutput(vqpy.Sel("car", vqpy.PropGlobalID))
 }
 
-// fleetPeopleQuery is the plain per-source workload query.
-func fleetPeopleQuery() *vqpy.Query {
-	return vqpy.NewQuery("People").
-		Use("p", vqpy.Person()).
-		Where(vqpy.P("p", vqpy.PropScore).Gt(0.5)).
-		FrameOutput(vqpy.Sel("p", vqpy.PropTrackID))
-}
-
-// runFleetIsolated runs the workload as N independent daemons,
-// returning per-source results in attach order (redcar, people), the
-// summed virtual time, detector invocations and wall time.
-func runFleetIsolated(cfg Config, clip *vqpy.FleetClip) (map[string][]*vqpy.Result, float64, int64, time.Duration, error) {
-	out := make(map[string][]*vqpy.Result, len(clip.Videos))
-	var virtual float64
-	var det int64
-	start := time.Now()
-	for _, v := range clip.Videos {
-		s := vqpy.NewSession(cfg.Seed)
-		s.SetNoBurn(!cfg.Burn)
-		if cfg.Burn {
-			s.SetOffloadLatency(multiQueryOffloadNSPerMS)
-		}
-		reg := vqpy.NewGlobalRegistry(0)
-		mux, err := s.Serve(v.FPS)
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		for _, q := range []*vqpy.Query{fleetRedCarQuery(reg, v.Name), fleetPeopleQuery()} {
-			if _, _, err := s.AttachQuery(mux, q, v); err != nil {
-				return nil, 0, 0, 0, err
+// fleetIsolatedArm runs the workload as N independent daemons — one
+// session, registry and dynamic mux per camera; its answers are the
+// per-source results in attach order (redcar, people).
+func fleetIsolatedArm(clip *vqpy.FleetClip) arm[map[string][]*vqpy.Result] {
+	return arm[map[string][]*vqpy.Result]{name: "isolated", body: func(newSession sessions) (map[string][]*vqpy.Result, error) {
+		out := make(map[string][]*vqpy.Result, len(clip.Videos))
+		for _, v := range clip.Videos {
+			s := newSession()
+			reg := vqpy.NewGlobalRegistry(0)
+			mux, err := s.Serve(v.FPS)
+			if err != nil {
+				return nil, err
 			}
-		}
-		for i := 0; i < v.NumFrames(); i++ {
-			if _, err := mux.Feed(v.FrameAt(i)); err != nil {
-				return nil, 0, 0, 0, err
+			for _, q := range []*vqpy.Query{fleetRedCarQuery(reg, v.Name), peopleQuery()} {
+				if _, _, err := s.AttachQuery(mux, q, v); err != nil {
+					return nil, err
+				}
 			}
+			for i := 0; i < v.NumFrames(); i++ {
+				if _, err := mux.Feed(v.FrameAt(i)); err != nil {
+					return nil, err
+				}
+			}
+			out[v.Name] = mux.Close()
 		}
-		out[v.Name] = mux.Close()
-		virtual += s.Clock().TotalMS()
-		det += detectorInvocations(s.Clock())
-	}
-	return out, virtual, det, time.Since(start), nil
+		return out, nil
+	}}
 }
 
 // fleetRun bundles the batched run's observables for the report.
 type fleetRun struct {
 	red, people map[string]*vqpy.Result
 	merged      *vqpy.FleetMerged
-	session     *vqpy.Session
 	fleet       *vqpy.Fleet
-	wall        time.Duration
 }
 
-// runFleetBatched runs the same workload through the batched fleet
-// engine.
-func runFleetBatched(cfg Config, clip *vqpy.FleetClip) (*fleetRun, error) {
-	s := vqpy.NewSession(cfg.Seed)
-	s.SetNoBurn(!cfg.Burn)
-	if cfg.Burn {
-		s.SetOffloadLatency(multiQueryOffloadNSPerMS)
-	}
-	start := time.Now()
-	f, err := s.NewFleetFromClips(clip.Videos, true)
-	if err != nil {
-		return nil, err
-	}
-	redID, err := s.AttachFleetQuery(f, "FleetRedCar", func(source string) *vqpy.Query {
-		return fleetRedCarQuery(f.Registry(), source)
-	})
-	if err != nil {
-		return nil, err
-	}
-	peopleID, err := s.AttachFleetQuery(f, "People", func(string) *vqpy.Query { return fleetPeopleQuery() })
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Run(); err != nil {
-		return nil, err
-	}
-	run := &fleetRun{session: s, fleet: f, wall: time.Since(start)}
-	if run.red, err = f.Snapshot(redID); err != nil {
-		return nil, err
-	}
-	if run.people, err = f.Snapshot(peopleID); err != nil {
-		return nil, err
-	}
-	if run.merged, err = f.Merged(redID); err != nil {
-		return nil, err
-	}
-	// Finalize the lanes and release the session's interceptor hook;
-	// registry and batch stats stay readable for the report.
-	f.Close()
-	return run, nil
+// fleetBatchedArm runs the same workload through the batched fleet
+// engine: one session driving all cameras in lockstep.
+func fleetBatchedArm(clip *vqpy.FleetClip) arm[*fleetRun] {
+	return arm[*fleetRun]{name: "fleet-batched", body: func(newSession sessions) (*fleetRun, error) {
+		s := newSession()
+		f, err := s.NewFleetFromClips(clip.Videos, true)
+		if err != nil {
+			return nil, err
+		}
+		redID, err := s.AttachFleetQuery(f, "FleetRedCar", func(source string) *vqpy.Query {
+			return fleetRedCarQuery(f.Registry(), source)
+		})
+		if err != nil {
+			return nil, err
+		}
+		peopleID, err := s.AttachFleetQuery(f, "People", func(string) *vqpy.Query { return peopleQuery() })
+		if err != nil {
+			return nil, err
+		}
+		if err := f.Run(); err != nil {
+			return nil, err
+		}
+		run := &fleetRun{fleet: f}
+		if run.red, err = f.Snapshot(redID); err != nil {
+			return nil, err
+		}
+		if run.people, err = f.Snapshot(peopleID); err != nil {
+			return nil, err
+		}
+		if run.merged, err = f.Merged(redID); err != nil {
+			return nil, err
+		}
+		// Finalize the lanes and release the session's interceptor hook;
+		// registry and batch stats stay readable for the report.
+		f.Close()
+		return run, nil
+	}}
 }
 
 // fleetVerdictsIdentical compares per-source verdicts between the
@@ -157,10 +136,10 @@ func fleetVerdictsIdentical(clip *vqpy.FleetClip, isolated map[string][]*vqpy.Re
 		if !okIso || !okR || !okP || len(iso) != 2 {
 			return false
 		}
-		if !reflect.DeepEqual(iso[1].Matched, p.Matched) || !reflect.DeepEqual(iso[1].Hits, p.Hits) {
+		if !sameResult(iso[1], p) {
 			return false
 		}
-		if !reflect.DeepEqual(iso[0].Matched, r.Matched) || len(iso[0].Hits) != len(r.Hits) {
+		if !slices.Equal(iso[0].Matched, r.Matched) || len(iso[0].Hits) != len(r.Hits) {
 			return false
 		}
 		for i := range iso[0].Hits {
@@ -183,25 +162,24 @@ func RunFleet(cfg Config) (*metrics.Report, error) {
 	cfg = cfg.withDefaults()
 	clip := fleetClip(cfg)
 
-	isolated, isoVirtual, isoDet, isoWall, err := runFleetIsolated(cfg, clip)
+	isolated, iso, err := runArm(cfg, fleetIsolatedArm(clip))
 	if err != nil {
 		return nil, err
 	}
-	run, err := runFleetBatched(cfg, clip)
+	run, batched, err := runArm(cfg, fleetBatchedArm(clip))
 	if err != nil {
 		return nil, err
 	}
-	fleetVirtual := run.session.Clock().TotalMS()
-	fleetDet := detectorInvocations(run.session.Clock())
 
 	rep := &metrics.Report{
 		Title:  "E18: cross-camera fleet — batched cross-source inference vs N isolated daemons",
 		Header: []string{"mode", "wall ms", "detect inv", "virtual ms"},
 	}
-	isoMS := float64(isoWall.Microseconds()) / 1000
-	fleetMS := float64(run.wall.Microseconds()) / 1000
-	rep.AddRow("isolated", fmt.Sprintf("%.1f", isoMS), fmt.Sprint(isoDet), fmt.Sprintf("%.0f", isoVirtual))
-	rep.AddRow("fleet-batched", fmt.Sprintf("%.1f", fleetMS), fmt.Sprint(fleetDet), fmt.Sprintf("%.0f", fleetVirtual))
+	// E18's claim is about detector work; its table has no tracker
+	// column, so these are not the standard rows.
+	for _, st := range []armStats{iso, batched} {
+		rep.AddRow(st.name, metrics.Ms(st.wallMS), fmt.Sprint(st.detect), fmt.Sprintf("%.0f", st.virtualMS))
+	}
 
 	identical := fleetVerdictsIdentical(clip, isolated, run.red, run.people)
 	crosscam := run.merged.CrossCamera(2, 30)
@@ -209,19 +187,11 @@ func RunFleet(cfg Config) (*metrics.Report, error) {
 	batchStats, _ := run.fleet.BatchStats()
 
 	rep.SetMetric("fleet_identical", boolMetric(identical))
-	rep.SetMetric("fleet_virtual_isolated", isoVirtual)
-	rep.SetMetric("fleet_virtual_batched", fleetVirtual)
-	if isoVirtual > 0 {
-		rep.SetMetric("fleet_virtual_ratio", fleetVirtual/isoVirtual)
-	}
-	rep.SetMetric("fleet_detect_inv_isolated", float64(isoDet))
-	rep.SetMetric("fleet_detect_inv_batched", float64(fleetDet))
-	if isoDet > 0 {
-		rep.SetMetric("fleet_detect_parity", float64(fleetDet)/float64(isoDet))
-	}
-	if isoMS > 0 {
-		rep.SetMetric("fleet_wall_ratio", fleetMS/isoMS)
-	}
+	iso.setMetrics(rep, "fleet_%s_isolated", "virtual", "detect_inv")
+	batched.setMetrics(rep, "fleet_%s_batched", "virtual", "detect_inv")
+	setRatio(rep, "fleet_virtual_ratio", batched.virtualMS, iso.virtualMS)
+	setRatio(rep, "fleet_detect_parity", float64(batched.detect), float64(iso.detect))
+	setRatio(rep, "fleet_wall_ratio", batched.wallMS, iso.wallMS)
 	rep.SetMetric("fleet_crosscam_entities", float64(len(crosscam)))
 	rep.SetMetric("fleet_batch_saved_ms", batchStats.SavedMS)
 
@@ -232,18 +202,16 @@ func RunFleet(cfg Config) (*metrics.Report, error) {
 	rep.AddNote("batching: %d ticks, %d/%d invocations batched (max batch %d), %.0f virtual ms saved",
 		batchStats.Ticks, batchStats.Batched, batchStats.Invocations, batchStats.MaxBatch, batchStats.SavedMS)
 	rep.AddNote("expected shape: equal detector invocation counts, batched virtual (and wall, with burn) strictly below the isolated sum")
-	if !cfg.Burn {
-		rep.AddNote("burn disabled: wall times reflect engine overhead only, not model latency")
-	}
+	noteBurn(rep, cfg)
 
 	if !identical {
 		return rep, fmt.Errorf("bench: fleet per-source verdicts diverge from isolated execution")
 	}
-	if fleetDet != isoDet {
-		return rep, fmt.Errorf("bench: fleet detector invocations %d != isolated %d (batching must not change work)", fleetDet, isoDet)
+	if batched.detect != iso.detect {
+		return rep, fmt.Errorf("bench: fleet detector invocations %d != isolated %d (batching must not change work)", batched.detect, iso.detect)
 	}
-	if fleetVirtual >= isoVirtual {
-		return rep, fmt.Errorf("bench: batched fleet virtual %.0f ms not below isolated sum %.0f ms", fleetVirtual, isoVirtual)
+	if batched.virtualMS >= iso.virtualMS {
+		return rep, fmt.Errorf("bench: batched fleet virtual %.0f ms not below isolated sum %.0f ms", batched.virtualMS, iso.virtualMS)
 	}
 	if len(crosscam) == 0 {
 		return rep, fmt.Errorf("bench: no cross-camera entity in the merged fleet result")

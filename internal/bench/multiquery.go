@@ -11,8 +11,6 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
-	"time"
 
 	"vqpy"
 
@@ -21,25 +19,11 @@ import (
 	"vqpy/internal/video"
 )
 
-// multiQueryOffloadNSPerMS maps one virtual millisecond of model cost
-// to 20µs of real accelerator-style waiting, keeping the whole
-// experiment under a few wall-clock seconds while leaving enough
-// signal for the speedup ratio to be stable.
-const multiQueryOffloadNSPerMS = 20_000
-
 // MultiQueryWorkload builds the 8-query serving mix: distinct detector
 // and classifier footprints so queries have genuinely private work
 // (the parallelizable part), plus two queries that ride entirely on
 // another query's detector via the shared cache (the reuse part).
 func MultiQueryWorkload() []vqpy.QueryNode {
-	redCar := vqpy.NewQuery("RedCar").
-		Use("car", vqpy.Car()).
-		Where(vqpy.And(
-			vqpy.P("car", vqpy.PropScore).Gt(0.6),
-			vqpy.P("car", "color").Eq("red"),
-		)).
-		FrameOutput(vqpy.Sel("car", vqpy.PropTrackID), vqpy.Sel("car", "color"))
-
 	vanType := core.NewVObj("VanVehicle", video.ClassCar).
 		Detector("car_detector").
 		StatelessModel("kind", "type_detect", true)
@@ -50,16 +34,6 @@ func MultiQueryWorkload() []vqpy.QueryNode {
 			vqpy.P("v", "kind").Eq("van"),
 		))
 
-	whiteType := core.NewVObj("WhiteVehicle", video.ClassCar).
-		Detector("yolov8m").
-		StatelessModel("color", "color_detect", true)
-	whiteCars := vqpy.NewQuery("WhiteCars").
-		Use("w", whiteType).
-		Where(vqpy.And(
-			vqpy.P("w", vqpy.PropScore).Gt(0.5),
-			vqpy.P("w", "color").Eq("white"),
-		))
-
 	fastType := core.NewVObj("FastVehicle", video.ClassCar).Detector("yolov5s")
 	speeding := vqpy.SpeedQuery("Speeding", "f", fastType, 12)
 
@@ -67,15 +41,6 @@ func MultiQueryWorkload() []vqpy.QueryNode {
 		Use("p", vqpy.Person()).
 		Where(vqpy.P("p", vqpy.PropScore).Gt(0.5)).
 		FrameOutput(vqpy.Sel("p", vqpy.PropTrackID), vqpy.Sel("p", "feature"))
-
-	plates := vqpy.NewQuery("Plates").
-		Use("car", vqpy.Car()).
-		Where(vqpy.P("car", vqpy.PropScore).Gt(0.7)).
-		FrameOutput(vqpy.Sel("car", "plate"))
-
-	balls := vqpy.NewQuery("Balls").
-		Use("b", core.NewVObj("CheapBall", video.ClassBall).Detector("ball_person_cheap")).
-		Where(vqpy.P("b", vqpy.PropScore).Gt(0.3))
 
 	blueCars := vqpy.NewQuery("BlueCars").
 		Use("car", vqpy.Car()).
@@ -89,7 +54,8 @@ func MultiQueryWorkload() []vqpy.QueryNode {
 	// longest-processing-time ordering keeps the makespan near the
 	// sum/workers bound instead of letting a heavy query straggle in
 	// the last wave.
-	return []vqpy.QueryNode{people, redCar, whiteCars, vans, speeding, balls, plates, blueCars}
+	return []vqpy.QueryNode{people, colorCarQuery("RedCar", "red"), whiteCarsQuery(), vans, speeding,
+		ballsQuery(), platesQuery(), blueCars}
 }
 
 // MultiQueryVideo generates the experiment's clip.
@@ -98,63 +64,72 @@ func MultiQueryVideo(cfg Config) *vqpy.Video {
 	return vqpy.GenerateVideo(vqpy.DatasetCityFlow(cfg.Seed, 40*cfg.Scale))
 }
 
-// RunMultiQueryWith executes the workload at the given worker count in
-// offload-latency mode and returns the results plus elapsed wall time.
-func RunMultiQueryWith(cfg Config, workers int) ([]*vqpy.RunResult, time.Duration, error) {
+// workloadArm runs the 8-query workload over v on one fresh session, in
+// one of the execution strategies E15 compares: "isolated" (each query
+// executes alone), "runall" (the per-query scheduler at the given worker
+// count, one shared cache) or "muxscan" (ExecuteShared: one scan fanned
+// out to every query; opts apply to this mode only).
+func workloadArm(name, mode string, workers int, v *vqpy.Video, opts ...vqpy.Option) arm[[]*vqpy.RunResult] {
+	return arm[[]*vqpy.RunResult]{name: name, body: func(newSession sessions) ([]*vqpy.RunResult, error) {
+		s, nodes := newSession(), MultiQueryWorkload()
+		switch mode {
+		case "isolated":
+			results := make([]*vqpy.RunResult, 0, len(nodes))
+			for _, node := range nodes {
+				r, err := s.Execute(node, v)
+				if err != nil {
+					return nil, err
+				}
+				results = append(results, r)
+			}
+			return results, nil
+		case "runall":
+			return s.ExecuteAll(nodes, v, workers)
+		case "muxscan":
+			return s.ExecuteShared(nodes, v, opts...)
+		}
+		return nil, fmt.Errorf("bench: unknown workload mode %q", mode)
+	}}
+}
+
+// RunWorkload executes the workload once in the given mode (see
+// workloadArm) on a fresh session, with model latency offloaded when
+// cfg.Burn is set, and returns the results plus the session for ledger
+// reads.
+func RunWorkload(cfg Config, mode string, workers int) ([]*vqpy.RunResult, *vqpy.Session, error) {
 	cfg = cfg.withDefaults()
-	v := MultiQueryVideo(cfg)
-	s := vqpy.NewSession(cfg.Seed)
-	s.SetNoBurn(!cfg.Burn)
-	if cfg.Burn {
-		s.SetOffloadLatency(multiQueryOffloadNSPerMS)
+	results, st, err := runArm(cfg, workloadArm(mode, mode, workers, MultiQueryVideo(cfg)))
+	if err != nil {
+		return nil, nil, err
 	}
-	nodes := MultiQueryWorkload()
-	start := time.Now()
-	results, err := s.ExecuteAll(nodes, v, workers)
-	return results, time.Since(start), err
+	return results, st.sessions[0], nil
 }
 
 // RunMultiQuery is the E14 experiment entry point used by vqbench.
 func RunMultiQuery(cfg Config) (*metrics.Report, error) {
 	cfg = cfg.withDefaults()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 	nQueries := len(MultiQueryWorkload())
+	v := MultiQueryVideo(cfg)
 
-	seq, seqWall, err := RunMultiQueryWith(cfg, 1)
+	answers, stats, err := runArms(cfg,
+		workloadArm("sequential", "runall", 1, v), workloadArm("parallel", "runall", cfg.Workers, v))
 	if err != nil {
 		return nil, err
 	}
-	par, parWall, err := RunMultiQueryWith(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	identical := len(seq) == len(par)
-	for i := 0; identical && i < len(seq); i++ {
-		identical = reflect.DeepEqual(seq[i].Matched, par[i].Matched) &&
-			seq[i].MatchedCount() == par[i].MatchedCount()
-		if sb, pb := seq[i].Basic, par[i].Basic; identical && sb != nil && pb != nil {
-			identical = reflect.DeepEqual(sb.Hits, pb.Hits) &&
-				sb.Count == pb.Count && reflect.DeepEqual(sb.TrackIDs, pb.TrackIDs)
-		}
-	}
+	identical := sameRuns(answers[0], answers[1])
 
 	rep := &metrics.Report{
 		Title:  "E14: multi-query serving — sequential vs parallel scheduler",
 		Header: []string{"mode", "workers", "queries", "wall ms", "queries/sec", "speedup"},
 	}
-	seqMS := float64(seqWall.Microseconds()) / 1000
-	parMS := float64(parWall.Microseconds()) / 1000
+	seqMS, parMS := stats[0].wallMS, stats[1].wallMS
 	speedup := 0.0
 	if parMS > 0 {
 		speedup = seqMS / parMS
 	}
-	rep.AddRow("sequential", "1", fmt.Sprint(nQueries), fmt.Sprintf("%.1f", seqMS),
+	rep.AddRow(stats[0].name, "1", fmt.Sprint(nQueries), metrics.Ms(seqMS),
 		fmt.Sprintf("%.2f", float64(nQueries)/(seqMS/1000)), "1.0x")
-	rep.AddRow("parallel", fmt.Sprint(workers), fmt.Sprint(nQueries), fmt.Sprintf("%.1f", parMS),
+	rep.AddRow(stats[1].name, fmt.Sprint(cfg.Workers), fmt.Sprint(nQueries), metrics.Ms(parMS),
 		fmt.Sprintf("%.2f", float64(nQueries)/(parMS/1000)), fmt.Sprintf("%.2fx", speedup))
 	rep.SetMetric("multi_seq_wall_ms", seqMS)
 	rep.SetMetric("multi_par_wall_ms", parMS)
@@ -166,8 +141,6 @@ func RunMultiQuery(cfg Config) (*metrics.Report, error) {
 	if !identical {
 		return rep, fmt.Errorf("bench: parallel results diverge from sequential")
 	}
-	if !cfg.Burn {
-		rep.AddNote("burn disabled: wall times reflect engine overhead only, not model latency")
-	}
+	noteBurn(rep, cfg)
 	return rep, nil
 }

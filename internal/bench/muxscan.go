@@ -19,148 +19,50 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
-	"time"
 
 	"vqpy"
 
 	"vqpy/internal/metrics"
-	"vqpy/internal/models"
-	"vqpy/internal/sim"
 )
-
-// detectorInvocations sums ledger invocation counts over accounts that
-// belong to detector models.
-func detectorInvocations(clock *sim.Clock) int64 {
-	var total int64
-	for name, n := range clock.InvocationTotals() {
-		if prof, ok := models.ProfileOf(name); ok && prof.Task == models.TaskDetect {
-			total += n
-		}
-	}
-	return total
-}
-
-// RunMuxScanWith runs the workload in one mode ("isolated",
-// "runall-seq", "runall-par", "muxscan") on a fresh session, returning
-// the results, elapsed wall time and the session (for ledger reads).
-func RunMuxScanWith(cfg Config, mode string, workers int) ([]*vqpy.RunResult, time.Duration, *vqpy.Session, error) {
-	v := MultiQueryVideo(cfg)
-	s := vqpy.NewSession(cfg.Seed)
-	s.SetNoBurn(!cfg.Burn)
-	if cfg.Burn {
-		s.SetOffloadLatency(multiQueryOffloadNSPerMS)
-	}
-	nodes := MultiQueryWorkload()
-	start := time.Now()
-	var results []*vqpy.RunResult
-	var err error
-	switch mode {
-	case "isolated":
-		for _, node := range nodes {
-			r, rErr := s.Execute(node, v)
-			if rErr != nil {
-				err = rErr
-				break
-			}
-			results = append(results, r)
-		}
-	case "runall-seq":
-		results, err = s.ExecuteAll(nodes, v, 1)
-	case "runall-par":
-		results, err = s.ExecuteAll(nodes, v, workers)
-	case "muxscan":
-		results, err = s.ExecuteShared(nodes, v)
-	default:
-		err = fmt.Errorf("bench: unknown muxscan mode %q", mode)
-	}
-	return results, time.Since(start), s, err
-}
-
-// sameAnswers compares the observable per-query results of two runs.
-func sameAnswers(a, b []*vqpy.RunResult) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i].Matched, b[i].Matched) ||
-			!reflect.DeepEqual(a[i].Events, b[i].Events) {
-			return false
-		}
-		ab, bb := a[i].Basic, b[i].Basic
-		if (ab == nil) != (bb == nil) {
-			return false
-		}
-		if ab != nil {
-			if !reflect.DeepEqual(ab.Hits, bb.Hits) || ab.Count != bb.Count ||
-				!reflect.DeepEqual(ab.TrackIDs, bb.TrackIDs) {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // RunMuxScan is the E15 experiment entry point used by vqbench.
 func RunMuxScan(cfg Config) (*metrics.Report, error) {
 	cfg = cfg.withDefaults()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	nQueries := len(MultiQueryWorkload())
-
-	modes := []struct {
-		name    string
-		workers int
+	v := MultiQueryVideo(cfg)
+	arms := []struct {
+		name, mode string
+		workers    int
 	}{
-		{"isolated", 1},
-		{"runall-seq", 1},
-		{"runall-par", workers},
-		{"muxscan", 1},
+		{"isolated", "isolated", 1},
+		{"runall-seq", "runall", 1},
+		{"runall-par", "runall", cfg.Workers},
+		{"muxscan", "muxscan", 1},
 	}
 
 	rep := &metrics.Report{
 		Title:  "E15: shared-scan multiplexing — one pass for the 8-query workload",
 		Header: []string{"mode", "workers", "wall ms", "detect inv", "tracker inv", "virtual ms"},
 	}
-	var ref []*vqpy.RunResult // runall-seq answers, the identity baseline
-	var mux []*vqpy.RunResult
-	wallMS := make(map[string]float64, len(modes))
-	for _, m := range modes {
-		results, wall, s, err := RunMuxScanWith(cfg, m.name, m.workers)
+	answers := make(map[string][]*vqpy.RunResult, len(arms))
+	wallMS := make(map[string]float64, len(arms))
+	for _, a := range arms {
+		results, st, err := runArm(cfg, workloadArm(a.name, a.mode, a.workers, v))
 		if err != nil {
 			return nil, err
 		}
-		switch m.name {
-		case "runall-seq":
-			ref = results
-		case "muxscan":
-			mux = results
-		}
-		clock := s.Clock()
-		ms := float64(wall.Microseconds()) / 1000
-		wallMS[m.name] = ms
-		rep.AddRow(m.name, fmt.Sprint(m.workers),
-			fmt.Sprintf("%.1f", ms),
-			fmt.Sprint(detectorInvocations(clock)),
-			fmt.Sprint(clock.Invocations("tracker")),
-			fmt.Sprintf("%.0f", clock.TotalMS()))
-		rep.SetMetric("muxscan_detect_inv_"+m.name, float64(detectorInvocations(clock)))
-		rep.SetMetric("muxscan_tracker_inv_"+m.name, float64(clock.Invocations("tracker")))
+		answers[a.name], wallMS[a.name] = results, st.wallMS
+		rep.AddRow(st.row(fmt.Sprint(a.workers))...)
+		st.setMetrics(rep, "muxscan_%s_"+a.name, "detect_inv", "tracker_inv")
 	}
-	if wallMS["runall-seq"] > 0 {
-		rep.SetMetric("muxscan_wall_ratio_vs_seq", wallMS["muxscan"]/wallMS["runall-seq"])
-	}
+	setRatio(rep, "muxscan_wall_ratio_vs_seq", wallMS["muxscan"], wallMS["runall-seq"])
 
-	identical := sameAnswers(ref, mux)
+	// runall-seq answers are the identity baseline.
+	identical := sameRuns(answers["runall-seq"], answers["muxscan"])
 	rep.SetMetric("muxscan_identical", boolMetric(identical))
-	rep.AddNote("queries: %d; muxscan results identical to runall-seq: %v", nQueries, identical)
+	rep.AddNote("queries: %d; muxscan results identical to runall-seq: %v", len(MultiQueryWorkload()), identical)
 	rep.AddNote("expected shape: detect invocations collapse isolated → runall (cache dedup) " +
 		"and tracker invocations collapse only under muxscan (one tracker per scan group, not per query)")
-	if !cfg.Burn {
-		rep.AddNote("burn disabled: wall times reflect engine overhead only, not model latency")
-	}
+	noteBurn(rep, cfg)
 	if !identical {
 		return rep, fmt.Errorf("bench: muxscan results diverge from sequential scheduler")
 	}

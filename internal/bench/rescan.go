@@ -15,32 +15,11 @@ package bench
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"vqpy"
 
 	"vqpy/internal/metrics"
 )
-
-// RunRescanPass executes the workload once through the shared-scan
-// engine against the store directory in a fresh session, returning the
-// results, elapsed wall time and the session (for ledger reads).
-func RunRescanPass(cfg Config, dir string) ([]*vqpy.RunResult, time.Duration, *vqpy.Session, error) {
-	st, err := vqpy.OpenStore(dir, cfg.Seed)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer st.Close()
-	v := MultiQueryVideo(cfg)
-	s := vqpy.NewSession(cfg.Seed)
-	s.SetNoBurn(!cfg.Burn)
-	if cfg.Burn {
-		s.SetOffloadLatency(multiQueryOffloadNSPerMS)
-	}
-	start := time.Now()
-	results, err := s.ExecuteShared(MultiQueryWorkload(), v, vqpy.WithStore(st))
-	return results, time.Since(start), s, err
-}
 
 // RunRescan is the E17 experiment entry point used by vqbench.
 func RunRescan(cfg Config) (*metrics.Report, error) {
@@ -50,67 +29,55 @@ func RunRescan(cfg Config) (*metrics.Report, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
+	v := MultiQueryVideo(cfg)
+
+	// pass executes the workload once through the shared-scan engine
+	// against the store directory, in a fresh session.
+	pass := func(name string) arm[[]*vqpy.RunResult] {
+		return arm[[]*vqpy.RunResult]{name: name, body: func(newSession sessions) ([]*vqpy.RunResult, error) {
+			st, err := vqpy.OpenStore(dir, cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			return workloadArm(name, "muxscan", 1, v, vqpy.WithStore(st)).body(newSession)
+		}}
+	}
 
 	// Identity reference: the sequential per-query scheduler.
-	ref, _, _, err := RunMuxScanWith(cfg, "runall-seq", 1)
+	answers, stats, err := runArms(cfg, workloadArm("reference", "runall", 1, v), pass("cold"), pass("warm"))
 	if err != nil {
 		return nil, err
 	}
-
-	first, firstWall, firstSession, err := RunRescanPass(cfg, dir)
-	if err != nil {
-		return nil, err
-	}
-	second, secondWall, secondSession, err := RunRescanPass(cfg, dir)
-	if err != nil {
-		return nil, err
-	}
+	cold, warm := stats[1], stats[2]
 
 	rep := &metrics.Report{
 		Title:  "E17: archival rescan — cold pass vs warm store (fresh session each)",
 		Header: []string{"pass", "wall ms", "detect inv", "tracker inv", "virtual ms"},
 	}
-	firstClock, secondClock := firstSession.Clock(), secondSession.Clock()
-	firstDet, secondDet := detectorInvocations(firstClock), detectorInvocations(secondClock)
-	firstTrk, secondTrk := firstClock.Invocations("tracker"), secondClock.Invocations("tracker")
-	firstMS := float64(firstWall.Microseconds()) / 1000
-	secondMS := float64(secondWall.Microseconds()) / 1000
-	rep.AddRow("cold", fmt.Sprintf("%.1f", firstMS), fmt.Sprint(firstDet),
-		fmt.Sprint(firstTrk), fmt.Sprintf("%.0f", firstClock.TotalMS()))
-	rep.AddRow("warm", fmt.Sprintf("%.1f", secondMS), fmt.Sprint(secondDet),
-		fmt.Sprint(secondTrk), fmt.Sprintf("%.0f", secondClock.TotalMS()))
+	rep.AddRow(cold.row()...)
+	rep.AddRow(warm.row()...)
+	cold.setMetrics(rep, "rescan_%s_first", "detect_inv", "tracker_inv")
+	warm.setMetrics(rep, "rescan_%s_second", "detect_inv", "tracker_inv")
+	setRatio(rep, "rescan_detect_ratio", float64(warm.detect), float64(cold.detect))
+	setRatio(rep, "rescan_tracker_ratio", float64(warm.tracker), float64(cold.tracker))
+	setRatio(rep, "rescan_virtual_ratio", warm.virtualMS, cold.virtualMS)
 
-	rep.SetMetric("rescan_detect_inv_first", float64(firstDet))
-	rep.SetMetric("rescan_detect_inv_second", float64(secondDet))
-	rep.SetMetric("rescan_tracker_inv_first", float64(firstTrk))
-	rep.SetMetric("rescan_tracker_inv_second", float64(secondTrk))
-	if firstDet > 0 {
-		rep.SetMetric("rescan_detect_ratio", float64(secondDet)/float64(firstDet))
-	}
-	if firstTrk > 0 {
-		rep.SetMetric("rescan_tracker_ratio", float64(secondTrk)/float64(firstTrk))
-	}
-	if firstClock.TotalMS() > 0 {
-		rep.SetMetric("rescan_virtual_ratio", secondClock.TotalMS()/firstClock.TotalMS())
-	}
-
-	identical := sameAnswers(ref, first) && sameAnswers(ref, second)
+	identical := sameRuns(answers[0], answers[1]) && sameRuns(answers[0], answers[2])
 	rep.SetMetric("rescan_identical", boolMetric(identical))
 	rep.AddNote("queries: %d; both passes identical to the sequential scheduler: %v",
 		len(MultiQueryWorkload()), identical)
 	rep.AddNote("expected shape: the warm pass replays archived detections and track ids — " +
 		"detector and tracker invocations drop to the canary-profiling floor")
-	if !cfg.Burn {
-		rep.AddNote("burn disabled: wall times reflect engine overhead only, not model latency")
-	}
+	noteBurn(rep, cfg)
 	if !identical {
 		return rep, fmt.Errorf("bench: rescan results diverge from the sequential scheduler")
 	}
-	if secondDet >= firstDet {
-		return rep, fmt.Errorf("bench: warm detector invocations %d not below cold %d", secondDet, firstDet)
+	if warm.detect >= cold.detect {
+		return rep, fmt.Errorf("bench: warm detector invocations %d not below cold %d", warm.detect, cold.detect)
 	}
-	if secondTrk >= firstTrk {
-		return rep, fmt.Errorf("bench: warm tracker invocations %d not below cold %d", secondTrk, firstTrk)
+	if warm.tracker >= cold.tracker {
+		return rep, fmt.Errorf("bench: warm tracker invocations %d not below cold %d", warm.tracker, cold.tracker)
 	}
 	return rep, nil
 }

@@ -16,22 +16,11 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"time"
 
 	"vqpy"
 
 	"vqpy/internal/metrics"
 )
-
-// searchBenchQuery is the archive-search workload: confidently
-// detected cars with track ids and plates — stateless residual
-// properties, so the query is index-verifiable.
-func searchBenchQuery() *vqpy.Query {
-	return vqpy.NewQuery("CarSearch").
-		Use("car", vqpy.Car()).
-		Where(vqpy.P("car", vqpy.PropScore).Gt(0.6)).
-		FrameOutput(vqpy.Sel("car", vqpy.PropTrackID), vqpy.Sel("car", "plate"))
-}
 
 // searchPass is one archive length's measurements.
 type searchPass struct {
@@ -40,8 +29,8 @@ type searchPass struct {
 	probe     *vqpy.SearchResult
 	full      *vqpy.SearchResult
 	identical bool
-	probeWall time.Duration
-	fullWall  time.Duration
+	probeStat armStats
+	fullStat  armStats
 }
 
 // runSearchLength ingests, extracts and searches one archive of the
@@ -59,27 +48,26 @@ func runSearchLength(cfg Config, seconds float64) (*searchPass, error) {
 	defer os.RemoveAll(xdir)
 
 	v := vqpy.GenerateVideo(vqpy.DatasetCityFlow(cfg.Seed, seconds*cfg.Scale))
-	q := searchBenchQuery()
+	q := carPlateQuery("CarSearch")
 
-	// Ingest: one memo-free store-backed pass archives the scan records
-	// the extractor and both search paths replay.
+	// Ingest and extract: one memo-free store-backed pass archives the
+	// scan records the extractor and both search paths replay, then a
+	// fresh session walks the archive into the index, one embedding per
+	// track.
 	st, err := vqpy.OpenStore(sdir, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	if _, err := cfg.session().ExecuteShared([]vqpy.QueryNode{q}, v, vqpy.WithStore(st), vqpy.WithoutMemo()); err != nil {
-		return nil, err
-	}
-
-	// Extract: a fresh session walks the archive into the index, one
-	// embedding per track.
 	x, err := vqpy.OpenIndex(xdir, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	defer x.Close()
-	stats, err := cfg.session().IndexArchive(x, q, v, 0, vqpy.WithStore(st))
+	if _, err := cfg.armSession().ExecuteShared([]vqpy.QueryNode{q}, v, vqpy.WithStore(st), vqpy.WithoutMemo()); err != nil {
+		return nil, err
+	}
+	stats, err := cfg.armSession().IndexArchive(x, q, v, 0, vqpy.WithStore(st))
 	if err != nil {
 		return nil, err
 	}
@@ -94,32 +82,31 @@ func runSearchLength(cfg Config, seconds float64) (*searchPass, error) {
 	// Search: probe path by indexed track, full path with the identical
 	// resolved feature, fresh sessions each so the clocks isolate the
 	// search cost.
-	probeStart := time.Now()
-	probe, err := cfg.session().Search(v, vqpy.SearchSpec{Query: q, Track: ex.Track},
-		vqpy.WithStore(st), vqpy.WithIndex(x))
+	search := func(name string, spec vqpy.SearchSpec, opts ...vqpy.Option) (*vqpy.SearchResult, armStats, error) {
+		return runArm(cfg, arm[*vqpy.SearchResult]{name: name, body: func(newSession sessions) (*vqpy.SearchResult, error) {
+			return newSession().Search(v, spec, opts...)
+		}})
+	}
+	probe, probeStat, err := search("probe", vqpy.SearchSpec{Query: q, Track: ex.Track}, vqpy.WithStore(st), vqpy.WithIndex(x))
 	if err != nil {
 		return nil, err
 	}
-	probeWall := time.Since(probeStart)
 	if !probe.UsedIndex {
 		return nil, fmt.Errorf("bench: probe search did not use the index")
 	}
-	fullStart := time.Now()
-	full, err := cfg.session().Search(v, vqpy.SearchSpec{Query: q, Feature: probe.IR.Probe.FeatureRef},
-		vqpy.WithStore(st))
+	full, fullStat, err := search("full", vqpy.SearchSpec{Query: q, Feature: probe.IR.Probe.FeatureRef}, vqpy.WithStore(st))
 	if err != nil {
 		return nil, err
 	}
-	fullWall := time.Since(fullStart)
 
-	identical := reflect.DeepEqual(full.Matched, probe.Matched) &&
-		reflect.DeepEqual(full.Hits, probe.Hits) &&
+	identical := sameResult(&vqpy.Result{Matched: full.Matched, Hits: full.Hits},
+		&vqpy.Result{Matched: probe.Matched, Hits: probe.Hits}) &&
 		reflect.DeepEqual(full.MatchedTracks, probe.MatchedTracks) &&
 		reflect.DeepEqual(full.Sims, probe.Sims)
 	return &searchPass{
 		frames: len(v.Frames), newTracks: stats.NewTracks,
 		probe: probe, full: full, identical: identical,
-		probeWall: probeWall, fullWall: fullWall,
+		probeStat: probeStat, fullStat: fullStat,
 	}, nil
 }
 
@@ -143,29 +130,20 @@ func RunSearch(cfg Config) (*metrics.Report, error) {
 		label string
 		p     *searchPass
 	}{{"1x", base}, {"3x", long}} {
-		rep.AddRow(row.label, fmt.Sprint(row.p.frames), "probe",
+		rep.AddRow(row.label, fmt.Sprint(row.p.frames), row.p.probeStat.name,
 			fmt.Sprint(row.p.probe.VerifiedFrames), fmt.Sprint(row.p.probe.ResidualFrames),
-			fmt.Sprintf("%.1f", row.p.probe.VirtualMS),
-			fmt.Sprintf("%.1f", float64(row.p.probeWall.Microseconds())/1000))
-		rep.AddRow(row.label, fmt.Sprint(row.p.frames), "full",
+			metrics.Ms(row.p.probe.VirtualMS), metrics.Ms(row.p.probeStat.wallMS))
+		rep.AddRow(row.label, fmt.Sprint(row.p.frames), row.p.fullStat.name,
 			fmt.Sprint(row.p.full.VerifiedFrames), "0",
-			fmt.Sprintf("%.1f", row.p.full.VirtualMS),
-			fmt.Sprintf("%.1f", float64(row.p.fullWall.Microseconds())/1000))
+			metrics.Ms(row.p.full.VirtualMS), metrics.Ms(row.p.fullStat.wallMS))
 	}
 
 	identical := base.identical && long.identical
 	rep.SetMetric("search_identical", boolMetric(identical))
 	rep.SetMetric("search_frames_growth", float64(long.frames)/float64(base.frames))
-	if base.probe.VerifiedFrames > 0 {
-		rep.SetMetric("search_probe_verified_growth",
-			float64(long.probe.VerifiedFrames)/float64(base.probe.VerifiedFrames))
-	}
-	if base.probe.VirtualMS > 0 {
-		rep.SetMetric("search_probe_virtual_growth", long.probe.VirtualMS/base.probe.VirtualMS)
-	}
-	if base.full.VirtualMS > 0 {
-		rep.SetMetric("search_full_virtual_growth", long.full.VirtualMS/base.full.VirtualMS)
-	}
+	setRatio(rep, "search_probe_verified_growth", float64(long.probe.VerifiedFrames), float64(base.probe.VerifiedFrames))
+	setRatio(rep, "search_probe_virtual_growth", long.probe.VirtualMS, base.probe.VirtualMS)
+	setRatio(rep, "search_full_virtual_growth", long.full.VirtualMS, base.full.VirtualMS)
 	rep.SetMetric("search_pruned_ratio",
 		1-float64(long.probe.VerifiedFrames)/float64(long.frames))
 
@@ -173,9 +151,7 @@ func RunSearch(cfg Config) (*metrics.Report, error) {
 		base.newTracks, long.newTracks, identical)
 	rep.AddNote("expected shape: the archive grows 3x but the probe path's verified frames and " +
 		"virtual cost track the exemplar's track span, not the archive — sub-linear search")
-	if !cfg.Burn {
-		rep.AddNote("burn disabled: wall times reflect engine overhead only, not model latency")
-	}
+	noteBurn(rep, cfg)
 	if !identical {
 		return rep, fmt.Errorf("bench: probe search diverges from the full rescan")
 	}

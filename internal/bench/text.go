@@ -173,11 +173,11 @@ func RunText(cfg Config) (*metrics.Report, error) {
 			rep.AddNote("golden %q: compiled name %q, want %q", g.text, tq.Query.Name(), wantName)
 			continue
 		}
-		compiled, _, err := cfg.session().Explain(tq.Query, v)
+		compiled, _, err := cfg.armSession().Explain(tq.Query, v)
 		if err != nil {
 			return rep, fmt.Errorf("bench: golden %q failed to plan: %w", g.text, err)
 		}
-		hand, _, err := cfg.session().Explain(g.hand(wantName), v)
+		hand, _, err := cfg.armSession().Explain(g.hand(wantName), v)
 		if err != nil {
 			return rep, fmt.Errorf("bench: golden %q hand query failed to plan: %w", g.text, err)
 		}
@@ -202,11 +202,11 @@ func RunText(cfg Config) (*metrics.Report, error) {
 	lazyMS, eagerMS := 0.0, 0.0
 	parity := true
 	for _, text := range textParityWorkload {
-		lazy, err := cfg.session().Text(text, v)
+		lazy, err := cfg.armSession().Text(text, v)
 		if err != nil {
 			return rep, fmt.Errorf("bench: lazy %q: %w", text, err)
 		}
-		eager, err := cfg.session().Text(text, v, vqpy.WithEagerVerify())
+		eager, err := cfg.armSession().Text(text, v, vqpy.WithEagerVerify())
 		if err != nil {
 			return rep, fmt.Errorf("bench: eager %q: %w", text, err)
 		}
@@ -236,12 +236,12 @@ func RunText(cfg Config) (*metrics.Report, error) {
 	rep.SetMetric("text_golden_identical", boolMetric(identical == len(goldens)))
 	rep.SetMetric("text_parity", boolMetric(parity))
 	rep.SetMetric("text_vlm_frame_ratio", ratio)
-	rep.SetMetric("text_lazy_cost_ratio", lazyMS/maxFloat(eagerMS, 1e-9))
+	rep.SetMetric("text_lazy_cost_ratio", lazyMS/max(eagerMS, 1e-9))
 
 	rep.AddNote("%d/%d golden sentences compiled bit-identical to their hand-built plans",
 		identical, len(goldens))
 	rep.AddNote("lazy verifier budget: %d calls over %d frames (%.1f%%), %.2fx cheaper than eager",
-		totalCalls, totalFrames, 100*ratio, eagerMS/maxFloat(lazyMS, 1e-9))
+		totalCalls, totalFrames, 100*ratio, eagerMS/max(lazyMS, 1e-9))
 	rep.AddNote("expected shape: the cheap cascade decides >90%% of frames, so the " +
 		"high-cost verifier prices like a rare final check, not a per-frame model")
 

@@ -195,6 +195,12 @@ func (c *Config) Validate() error {
 	if c.IndexDir != "" && c.StoreDir == "" {
 		bad("index requires store (the index accelerates archive search, it is not a source of truth)")
 	}
+	if c.FleetCams > 0 && c.StoreDir != "" {
+		bad("fleet does not combine with store (per-camera archives of a lockstep fleet are future work)")
+	}
+	if c.FleetCams > 0 && c.IndexDir != "" {
+		bad("fleet does not combine with index (archive search is per-source)")
+	}
 	if c.FleetCams <= 0 && len(c.SourceList()) == 0 {
 		bad("no sources registered (set sources or fleet)")
 	}

@@ -75,7 +75,7 @@ func TestPrecedence(t *testing.T) {
 
 // TestConfigFileByEnvAlone starts the daemon config with zero flags:
 // the file comes from $VQSERVE_CONFIG, the address from $VQSERVE_ADDR —
-// the acceptance path the CI ops smoke drives end to end.
+// the acceptance path cmd/vqserve's test drives end to end through run.
 func TestConfigFileByEnvAlone(t *testing.T) {
 	file := writeFile(t, "cfg.json", `{
 		"sources": "retail",
@@ -127,20 +127,30 @@ func TestEnvErrorsAccumulate(t *testing.T) {
 	}
 }
 
-// TestValidationAccumulates: a config wrong in three ways names all
-// three knobs in one error.
+// TestValidationAccumulates: a config wrong in several ways — fleet
+// mode with both a store and an index among them — names every knob in
+// one error.
 func TestValidationAccumulates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Speed = -1
 	cfg.Sources = " , "
+	cfg.FleetCams, cfg.StoreDir, cfg.IndexDir = -1, "s", "x"
 	cfg.Tenants = TenantList{{Name: "a", Share: 0}, {Name: "a", Share: 1}}
 	_, err := Load(&cfg, Options{Name: "vqserve"})
 	if err == nil {
 		t.Fatal("invalid config loaded without error")
 	}
-	for _, frag := range []string{"speed", "no sources", "share must be > 0", "declared twice"} {
+	for _, frag := range []string{"speed", "no sources", "share must be > 0", "declared twice", "fleet must be >= 0"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not mention %q", err, frag)
+		}
+	}
+	cfg = DefaultConfig()
+	cfg.FleetCams, cfg.StoreDir, cfg.IndexDir = 2, "s", "x"
+	err = cfg.Validate()
+	for _, frag := range []string{"fleet does not combine with store", "fleet does not combine with index"} {
+		if err == nil || !strings.Contains(err.Error(), frag) {
+			t.Errorf("fleet with store and index: error %v does not mention %q", err, frag)
 		}
 	}
 }

@@ -93,9 +93,9 @@ type Series struct {
 
 // Report is a paper-style table: a title, a header row, data rows, and
 // free-form notes (expected-shape commentary). Metrics carries the
-// report's machine-readable values — named scalars the CI
+// report's machine-readable values — named scalars the
 // bench-regression gate checks against bench_baselines.json, so a
-// regression fails the build instead of hiding in an uploaded artifact.
+// regression fails the build instead of hiding in a printed table.
 type Report struct {
 	Title  string
 	Header []string

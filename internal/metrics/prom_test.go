@@ -8,7 +8,7 @@ import (
 )
 
 // promLine matches one sample line of the text exposition format —
-// the same grammar the CI ops smoke asserts with awk.
+// the same grammar internal/serve's TestHTTPMetrics asserts on the daemon.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9.eE+-]+$|^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (\+Inf|-Inf|NaN)$`)
 
 func TestWriteTextFormat(t *testing.T) {

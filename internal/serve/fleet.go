@@ -12,7 +12,6 @@ package serve
 // reading back results merged per global id with per-source provenance.
 
 import (
-	"fmt"
 	"sync"
 
 	"vqpy"
@@ -45,9 +44,6 @@ type fleetState struct {
 // one session + dynamic mux per camera, every session's env wired to
 // the shared batch scheduler.
 func (s *Server) initFleet() error {
-	if s.cfg.StoreDir != "" {
-		return fmt.Errorf("serve: fleet mode does not combine with -store (per-camera archives of a lockstep fleet are future work)")
-	}
 	clip := vqpy.FleetIntersections(s.cfg.Seed, s.cfg.Seconds, s.cfg.FleetCams).Generate()
 	s.fleet = &fleetState{reg: vqpy.NewGlobalRegistry(0)}
 	for _, v := range clip.Videos {

@@ -58,6 +58,12 @@ func TestFleetHTTPFlow(t *testing.T) {
 	if id := int(resp["id"].(float64)); id != 0 {
 		t.Fatalf("first fleet query id = %d, want 0", id)
 	}
+	// The old /fleet/queries tree is gone, not aliased.
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/fleet/queries", strings.NewReader(`{"query":"people"}`)))
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("POST /fleet/queries answered %d, want 404", w.Code)
+	}
 
 	for i := 0; i < 30; i++ {
 		if err := s.StepAll(); err != nil {

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -241,6 +242,20 @@ func TestFleetModeContracts(t *testing.T) {
 	}
 	if err := s.StepAll(); err != nil {
 		t.Fatal(err)
+	}
+	// The per-source synchronous modes are refused on a fleet daemon by
+	// one typed error, a 400 over HTTP.
+	_, searchErr := s.Search(SearchRequest{Source: "cityflow-cam0", Query: "plates"})
+	_, fidelityErr := s.FidelityQuery(FidelityRequest{Source: "cityflow-cam0", Query: "plates"})
+	_, textErr := s.TextQuery(TextRequest{Source: "cityflow-cam0", Text: "red car"})
+	for mode, err := range map[string]error{"search": searchErr, "fidelity": fidelityErr, "text": textErr} {
+		if !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s on a fleet daemon: %v, want ErrUnsupported", mode, err)
+		}
+		body := `{"mode":"` + mode + `","source":"cityflow-cam0","query":"plates","text":"red car"}`
+		if code, _, m := postQueries(t, ts, body, ""); code != http.StatusBadRequest {
+			t.Errorf("%s on a fleet daemon answered %d, want 400: %v", mode, code, m)
+		}
 	}
 
 	do := func(method, path string) (int, map[string]any) {

@@ -6,6 +6,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -130,10 +131,12 @@ func TestSearchRequiresStoreAndIndex(t *testing.T) {
 	if _, err := NewServer(Config{Seed: 1, Seconds: 2, IndexDir: t.TempDir()}, []string{"cityflow"}); err == nil {
 		t.Error("IndexDir without StoreDir should fail construction")
 	}
-	// Fleet mode is incompatible with the index.
-	if _, err := NewServer(Config{Seed: 1, Seconds: 2, FleetCams: 2,
-		StoreDir: t.TempDir(), IndexDir: t.TempDir()}, nil); err == nil {
-		t.Error("FleetCams with IndexDir should fail construction")
+	// Fleet mode combines with neither the store nor the index, and one
+	// typed refusal names both.
+	_, err = NewServer(Config{Seed: 1, Seconds: 2, FleetCams: 2,
+		StoreDir: t.TempDir(), IndexDir: t.TempDir()}, nil)
+	if !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), "-store") || !strings.Contains(err.Error(), "-index") {
+		t.Errorf("FleetCams with StoreDir and IndexDir: %v, want ErrUnsupported naming both", err)
 	}
 
 	// Searching a source with no fed frames is refused.

@@ -35,6 +35,12 @@ var ErrNotFound = errors.New("not found")
 // down gracefully (the HTTP layer maps it to 503, and /readyz flips).
 var ErrDraining = errors.New("serve: draining")
 
+// ErrUnsupported marks a refused combination of features: fleet mode
+// with a store or an index, and the per-source synchronous modes
+// (search, fidelity, text) on a fleet daemon. The HTTP layer maps it to
+// 400 like any bad request; callers match it with errors.Is.
+var ErrUnsupported = errors.New("unsupported combination")
+
 // Source-quarantine policy (DESIGN.md §9): a source that stalls this
 // many consecutive polls is quarantined — the step loop stops polling
 // it every tick and probes it only every quarantineProbeEvery ticks, so
@@ -281,6 +287,21 @@ func NewServer(cfg Config, sourceNames []string) (*Server, error) {
 	if len(sourceNames) == 0 && cfg.FleetCams <= 0 {
 		return nil, fmt.Errorf("serve: no sources registered")
 	}
+	if cfg.IndexDir != "" && cfg.StoreDir == "" {
+		return nil, fmt.Errorf("serve: -index requires -store (the index accelerates archive search, it is not a source of truth)")
+	}
+	// Fleet × store and fleet × index are refused together, before
+	// anything is built: one failed start names every unsupported knob.
+	var refused []error
+	if cfg.FleetCams > 0 && cfg.StoreDir != "" {
+		refused = append(refused, fmt.Errorf("serve: fleet mode does not combine with -store (per-camera archives of a lockstep fleet are future work): %w", ErrUnsupported))
+	}
+	if cfg.FleetCams > 0 && cfg.IndexDir != "" {
+		refused = append(refused, fmt.Errorf("serve: fleet mode is incompatible with -index: %w", ErrUnsupported))
+	}
+	if err := errors.Join(refused...); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:      cfg,
 		sources:  make(map[string]*source),
@@ -293,14 +314,6 @@ func NewServer(cfg Config, sourceNames []string) (*Server, error) {
 		tenantSyncMS: make(map[string]float64),
 	}
 	s.configureTenantsLocked(cfg.Tenants)
-	if cfg.IndexDir != "" {
-		if cfg.FleetCams > 0 {
-			return nil, fmt.Errorf("serve: fleet mode is incompatible with -index")
-		}
-		if cfg.StoreDir == "" {
-			return nil, fmt.Errorf("serve: -index requires -store (the index accelerates archive search, it is not a source of truth)")
-		}
-	}
 	if cfg.FleetCams > 0 {
 		if err := s.initFleet(); err != nil {
 			return nil, err

@@ -62,7 +62,7 @@ func (s *Server) runSync(mode *syncMode, tenant, sourceName string, run func(ses
 	}
 	defer s.inflight.Done()
 	if s.fleet != nil {
-		return errors.New(mode.fleetErr)
+		return fmt.Errorf("%s: %w", mode.fleetErr, ErrUnsupported)
 	}
 	if mode.needsErr != "" && (s.store == nil || (mode.needIndex && s.index == nil)) {
 		return errors.New(mode.needsErr)

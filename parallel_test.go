@@ -18,7 +18,7 @@ import (
 func runWorkload(t *testing.T, workers int) []*vqpy.RunResult {
 	t.Helper()
 	cfg := bench.Config{Seed: 99, Scale: 0.5}
-	res, _, err := bench.RunMultiQueryWith(cfg, workers)
+	res, _, err := bench.RunWorkload(cfg, "runall", workers)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

@@ -19,11 +19,11 @@ import (
 func TestSharedScanIdenticalToPerQuery(t *testing.T) {
 	cfg := bench.Config{Seed: 77, Scale: 0.25}
 
-	seq, _, seqSession, err := bench.RunMuxScanWith(cfg, "runall-seq", 1)
+	seq, seqSession, err := bench.RunWorkload(cfg, "runall", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, _, sharedSession, err := bench.RunMuxScanWith(cfg, "muxscan", 1)
+	shared, sharedSession, err := bench.RunWorkload(cfg, "muxscan", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
