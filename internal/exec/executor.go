@@ -255,7 +255,7 @@ func (e *Executor) stepFrameFilter(s Step, fc *FrameCtx, filters map[string]mode
 func (e *Executor) detectFrame(model string, f *video.Frame) ([]track.Detection, error) {
 	if st, src := e.opts.Store, e.opts.StoreSource; st != nil && src != "" {
 		if sdets, ok := st.GetDets(src, model, f.Index); ok {
-			return trackDetsOf(sdets), nil
+			return appendTrackDets(make([]track.Detection, 0, len(sdets)), sdets), nil
 		}
 	}
 	if err := e.modelGate(model, f.Index); err != nil {
@@ -289,12 +289,11 @@ func storeDetsOf(dets []track.Detection) []store.Detection {
 	return out
 }
 
-// trackDetsOf converts persisted detections back to the live form,
+// appendTrackDets appends persisted detections to out in live form,
 // restoring Ref exactly as detectFrame would have produced it.
-func trackDetsOf(dets []store.Detection) []track.Detection {
-	out := make([]track.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = track.Detection{Box: d.Box, Class: d.Class, Score: d.Score, Ref: d.TruthID}
+func appendTrackDets(out []track.Detection, dets []store.Detection) []track.Detection {
+	for _, d := range dets {
+		out = append(out, track.Detection{Box: d.Box, Class: d.Class, Score: d.Score, Ref: d.TruthID})
 	}
 	return out
 }

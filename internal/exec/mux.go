@@ -198,6 +198,9 @@ type MuxStream struct {
 	store  *store.Store
 	source string
 	src    video.FrameSource
+	// classBuf is the reusable buffer archived frames are class-sliced
+	// into before conversion to live detections (archivedClass).
+	classBuf []store.Detection
 }
 
 // OpenDynamicMux prepares an empty shared-scan stream for live serving:
@@ -328,7 +331,7 @@ func (m *MuxStream) AttachBackfill(p *Plan) (int, error) {
 	}
 	// Fail fast, before any lane state exists, when the archive cannot
 	// possibly cover the replay (the replay still verifies per frame).
-	if sig := ScanPrefixOf(p); sig.Shareable && n > 0 && !m.store.CoversScans(m.source, sig.Key(), n) {
+	if sig := ScanPrefixOf(p); sig.Shareable && n > 0 && !m.store.Scans(m.source, sig.Key(), sig.Detect).Covers(n) {
 		return 0, fmt.Errorf("exec: store does not cover the %d already-scanned frames of scan group %q; cannot backfill", n, sig.Key())
 	}
 	l, err := m.attachLocked(p)
@@ -792,7 +795,7 @@ func (m *MuxStream) resumeAfter(covered int) error {
 			if miss != nil {
 				return fmt.Errorf("exec: frame %d of scan group %q inside index coverage: %w", f, g.key, miss)
 			}
-			if a.rec.Dropped {
+			if a.Rec.Dropped {
 				continue
 			}
 			for _, cls := range g.classes {

@@ -26,88 +26,31 @@ import (
 	"vqpy/internal/video"
 )
 
-// Why the archive could not serve a frame. Sentinels, not formatted
-// errors: the live path asks on every frame and a cold store misses on
-// every one.
-var (
-	errNoScanRecord     = errors.New("no archived scan record")
-	errDetectorMismatch = errors.New("the archived scan used a different detector")
-	errNoDetections     = errors.New("no archived detections")
-	errNoTrackIDs       = errors.New("no archived from-zero track ids")
-)
-
-// archivedFrame is what a scan prefix produced on one frame, as the
-// store archived it: the scan record (filter verdict, per-class
-// from-zero track ids) and the detector's raw output for every class.
-// Both are the store's shared values and must not be mutated.
-type archivedFrame struct {
-	rec  *store.ScanRecord
-	dets []store.Detection // nil when rec.Dropped or not asked for
-}
+// errNoTrackIDs is the engine's own reason an archived frame cannot be
+// replayed, beside the store's (store.Miss): the frame is there, but
+// without from-zero ids for the lane's class and no tracker to
+// reconstruct them on.
+var errNoTrackIDs = errors.New("no archived from-zero track ids")
 
 // archivedScan answers "what did the scan prefix produce on frame f
-// under (scanKey, detect)" — the one place the engine reads a scan
-// record. A non-nil miss says why the archive cannot serve the frame:
-// no record, a record written by another detector (the invalidation
-// rule: its ids belong to that detector's boxes), or — when the frame
-// was kept and wantDets is set — no detection record to go with it.
-// The record stays pinned in the hot tier while it is read.
-func (m *MuxStream) archivedScan(scanKey, detect string, f int, wantDets bool) (a archivedFrame, miss error) {
-	rec, release, ok := m.store.GetScanRef(m.source, scanKey, f)
-	if !ok {
-		return a, errNoScanRecord
-	}
-	defer release()
-	if rec.Detect != detect {
-		return a, errDetectorMismatch
-	}
-	a.rec = rec
-	if wantDets && !rec.Dropped {
-		if a.dets, ok = m.store.GetDets(m.source, detect, f); !ok {
-			return a, errNoDetections
-		}
+// under (scanKey, detect)" — the engine's one call into the store's
+// archived-frame reader, which owns the record layout. A non-nil miss
+// is the reader's typed reason (store.Miss) the archive cannot serve
+// the frame.
+func (m *MuxStream) archivedScan(scanKey, detect string, f int, wantDets bool) (store.ScanFrame, error) {
+	a, miss := m.store.Scans(m.source, scanKey, detect).Frame(f, wantDets)
+	if miss != store.MissNone {
+		return a, miss
 	}
 	return a, nil
 }
 
-// classDets appends the detections of class cls to buf[:0] in live
-// form, Ref restored exactly as detectFrame produces it.
-func classDets(sdets []store.Detection, cls video.Class, buf []track.Detection) []track.Detection {
-	buf = buf[:0]
-	for i := range sdets {
-		if classOf(sdets[i].Class) == cls {
-			buf = append(buf, track.Detection{
-				Box: sdets[i].Box, Class: sdets[i].Class, Score: sdets[i].Score, Ref: sdets[i].TruthID,
-			})
-		}
-	}
-	return buf
-}
-
-// class slices one class out of a kept frame: its detections (appended
-// to buf[:0]) and their archived from-zero track ids. have is false
-// when the archive holds no ids for the class or not one per detection
-// — a class never tracked under this signature, or tracked from a cold
-// mid-stream start (persistScan archives those id-less).
-func (a archivedFrame) class(cls video.Class, buf []track.Detection) (dets []track.Detection, ids []int, have bool) {
-	dets = classDets(a.dets, cls, buf)
-	ids, have = a.rec.IDs[int(cls)]
-	return dets, ids, have && len(ids) == len(dets)
-}
-
-// withIDs returns a private copy of rec with one class's reconstructed
-// from-zero ids merged in, ready to be re-persisted (rec itself is the
-// store's shared value).
-func withIDs(rec *store.ScanRecord, cls video.Class, ids []int) *store.ScanRecord {
-	updated := &store.ScanRecord{
-		Source: rec.Source, ScanKey: rec.ScanKey, Detect: rec.Detect,
-		Frame: rec.Frame, IDs: make(map[int][]int, len(rec.IDs)+1),
-	}
-	for k, v := range rec.IDs {
-		updated.IDs[k] = v
-	}
-	updated.IDs[int(cls)] = append([]int(nil), ids...)
-	return updated
+// archivedClass slices one class out of a kept archived frame
+// (store.ScanFrame.Class) and converts its detections to live form,
+// appended to buf[:0].
+func (m *MuxStream) archivedClass(a store.ScanFrame, cls video.Class, buf []track.Detection) (dets []track.Detection, ids []int, have bool) {
+	m.classBuf, ids, have = a.Class(int(cls), m.classBuf)
+	return appendTrackDets(buf[:0], m.classBuf), ids, have
 }
 
 // scanGroupFromStore tries to serve one group's frame entirely from the
@@ -124,16 +67,16 @@ func (m *MuxStream) scanGroupFromStore(g *muxGroup, f *video.Frame) (bool, error
 	if miss != nil {
 		return false, nil
 	}
-	g.dropped = a.rec.Dropped
+	g.dropped = a.Rec.Dropped
 	if g.dropped {
 		return true, nil
 	}
-	updated := a.rec
+	updated := a.Rec
 	for _, cls := range g.classes {
 		st := g.tracks[cls]
 		var ids []int
 		var have bool
-		st.dets, ids, have = a.class(cls, st.dets)
+		st.dets, ids, have = m.archivedClass(a, cls, st.dets)
 		if have && st.bornAt == 0 {
 			// Archived ids are from-zero by the persist rule below; they
 			// may only be applied to a tracker with the same semantics —
@@ -151,10 +94,10 @@ func (m *MuxStream) scanGroupFromStore(g *muxGroup, f *video.Frame) (bool, error
 		}
 		m.liveTrackUpdate(st)
 		if st.bornAt == 0 {
-			updated = withIDs(updated, cls, st.ids)
+			updated = updated.WithIDs(int(cls), st.ids)
 		}
 	}
-	if updated != a.rec {
+	if updated != a.Rec {
 		if err := m.store.PutScan(updated); err != nil {
 			return false, err
 		}
@@ -237,7 +180,8 @@ func (m *MuxStream) replayPending(g *muxGroup, cls video.Class, st *sharedTrack)
 		if !ok {
 			return fmt.Errorf("exec: store lacks archived detections for %s@%d needed by tracker catch-up", g.detect, frame)
 		}
-		cdets = classDets(sdets, cls, cdets)
+		m.classBuf = store.ClassDets(sdets, int(cls), m.classBuf)
+		cdets = appendTrackDets(cdets[:0], m.classBuf)
 		ids, upBuf = m.trackerUpdate(st.tracker, cdets, ids, upBuf)
 	}
 	st.pending = st.pending[:0]
@@ -338,11 +282,11 @@ func (m *MuxStream) replayLane(l *lane, r replay) (served, live int, err error) 
 func (m *MuxStream) replayScan(l *lane, r replay, fr *video.Frame, buf []track.Detection) (scan scanOut, archived bool, err error) {
 	g, cls := l.group, l.sig.Class
 	a, miss := m.archivedScan(r.scanKey, r.detect, fr.Index, true)
-	if miss == nil && a.rec.Dropped {
+	if miss == nil && a.Rec.Dropped {
 		return scanOut{dropped: true, dets: buf[:0]}, true, nil
 	}
 	if miss == nil {
-		dets, ids, have := a.class(cls, buf)
+		dets, ids, have := m.archivedClass(a, cls, buf)
 		rt := r.tracker
 		switch {
 		case have && rt != nil:
@@ -357,7 +301,7 @@ func (m *MuxStream) replayScan(l *lane, r replay, fr *video.Frame, buf []track.D
 			rt.dets = append(rt.dets[:0], dets...)
 			m.liveTrackUpdate(rt)
 			ids = rt.ids
-			if err := m.store.PutScan(withIDs(a.rec, cls, ids)); err != nil {
+			if err := m.store.PutScan(a.Rec.WithIDs(int(cls), ids)); err != nil {
 				return scan, false, err
 			}
 		default:

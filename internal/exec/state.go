@@ -69,28 +69,17 @@ func fnvInt(h uint64, v int) uint64 {
 	return h
 }
 
-// memoShards is the shard count for MemoStore. Memo lookups happen on
-// every projected intrinsic property of every node, so even per-query
-// stores benefit from spreading lock traffic.
-const memoShards = 8
-
 // MemoStore is the object-level computation reuse table of §4.2: values
 // of intrinsic properties keyed by (instance, property, track). Once
 // computed, an intrinsic value is reused for every later frame in which
 // the tracker re-identifies the object.
 //
-// The store is sharded by key hash and safe for concurrent use; hit and
-// miss counters are kept with atomics so Stats never contends with the
-// data path.
+// A MemoStore belongs to one lane's runState and is not safe for
+// concurrent use: a Stream is single-goroutine by contract and a mux
+// touches its lanes — Stats included — only under MuxStream.mu.
 type MemoStore struct {
-	shards [memoShards]memoShard
-	hits   atomic.Int64
-	miss   atomic.Int64
-}
-
-type memoShard struct {
-	mu   sync.RWMutex
-	vals map[memoKey]any
+	vals       map[memoKey]any
+	hits, miss int
 }
 
 type memoKey struct {
@@ -98,49 +87,30 @@ type memoKey struct {
 	trackID        int
 }
 
-func (k memoKey) shard() int {
-	h := fnvString(fnvSeed, k.instance)
-	h = fnvString(h, k.prop)
-	h = fnvInt(h, k.trackID)
-	return int(h % memoShards)
-}
-
 // NewMemoStore returns an empty memo store.
 func NewMemoStore() *MemoStore {
-	m := &MemoStore{}
-	for i := range m.shards {
-		m.shards[i].vals = make(map[memoKey]any)
-	}
-	return m
+	return &MemoStore{vals: make(map[memoKey]any)}
 }
 
 // Get returns the memoized value for a track's intrinsic property.
 func (m *MemoStore) Get(instance, prop string, trackID int) (any, bool) {
-	k := memoKey{instance, prop, trackID}
-	sh := &m.shards[k.shard()]
-	sh.mu.RLock()
-	v, ok := sh.vals[k]
-	sh.mu.RUnlock()
+	v, ok := m.vals[memoKey{instance, prop, trackID}]
 	if ok {
-		m.hits.Add(1)
+		m.hits++
 	} else {
-		m.miss.Add(1)
+		m.miss++
 	}
 	return v, ok
 }
 
 // Put memoizes a value.
 func (m *MemoStore) Put(instance, prop string, trackID int, v any) {
-	k := memoKey{instance, prop, trackID}
-	sh := &m.shards[k.shard()]
-	sh.mu.Lock()
-	sh.vals[k] = v
-	sh.mu.Unlock()
+	m.vals[memoKey{instance, prop, trackID}] = v
 }
 
 // Stats returns (hits, misses) for reuse diagnostics.
 func (m *MemoStore) Stats() (hits, misses int) {
-	return int(m.hits.Load()), int(m.miss.Load())
+	return m.hits, m.miss
 }
 
 // cacheShards is the shard count for SharedCache. The cache is the one

@@ -1,8 +1,8 @@
 package exec
 
-// Concurrency suite for the sharded caches: run with -race. The shards,
-// atomic stats and single-flight guards exist for plan.RunAll's worker pool,
-// so these tests hammer them from many goroutines at once.
+// Concurrency suite for the sharded SharedCache: run with -race. The
+// shards, atomic stats and single-flight guards exist for plan.RunAll's
+// worker pool, so these tests hammer them from many goroutines at once.
 
 import (
 	"errors"
@@ -49,35 +49,6 @@ func TestSharedCacheConcurrentGetPutStats(t *testing.T) {
 	hits, misses := c.Stats()
 	if hits+misses == 0 {
 		t.Fatal("stats recorded nothing")
-	}
-}
-
-func TestMemoStoreConcurrentGetPutStats(t *testing.T) {
-	m := NewMemoStore()
-	const goroutines = 8
-	const perG = 300
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				inst := fmt.Sprintf("inst%d", i%2)
-				prop := fmt.Sprintf("p%d", i%4)
-				m.Put(inst, prop, i%20, i)
-				if _, ok := m.Get(inst, prop, i%20); !ok {
-					t.Error("freshly put memo value missing")
-					return
-				}
-				m.Get(inst, prop, 9999) // guaranteed miss path
-				m.Stats()
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses := m.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("stats = %d hits, %d misses; want both nonzero", hits, misses)
 	}
 }
 

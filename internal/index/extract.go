@@ -65,14 +65,6 @@ type ExtractStats struct {
 	FaultStopped bool
 }
 
-// storeFaultReads sums the store's injected-read-failure counters; a
-// delta across one read means that read was served as a miss by the
-// chaos layer, not by genuine absence.
-func storeFaultReads(st *store.Store) int64 {
-	c := st.Counters()
-	return c.Get("scan_faulted_reads") + c.Get("det_faulted_reads")
-}
-
 // Extract walks archived frames [Covered(source, sig), upto) and folds
 // every sighting of cfg.Class into the index: new tracks are embedded
 // (once) and inserted, known tracks extend their frame span. The walk
@@ -97,36 +89,37 @@ func (x *Index) Extract(cfg ExtractConfig, upto int) (ExtractStats, error) {
 	if upto <= from {
 		return st, nil
 	}
-	touched := make(map[string]bool)
+	touched := make(map[entryKey]bool)
+	scans := cfg.Store.Scans(cfg.Source, cfg.Sig, cfg.Detect)
+	var buf []store.Detection
 
 	f := from
 	for ; f < upto; f++ {
-		faultBase := storeFaultReads(cfg.Store)
-		rec, ok := cfg.Store.GetScan(cfg.Source, cfg.Sig, f)
-		if !ok {
-			st.FaultStopped = x.noteFaultStop(cfg.Store, faultBase, cfg.Source, f)
+		fr, miss := scans.Frame(f, true)
+		if miss != store.MissNone {
+			if miss == store.MissFaulted {
+				// Chaos, not absence, left the range uncovered: say so.
+				st.FaultStopped = true
+				x.counters.Add("index_faulted_reads", 1)
+				x.mu.Lock()
+				x.warnings = append(x.warnings, fmt.Sprintf(
+					"index: store read fault at %s frame %d; coverage stops there (full-rescan fallback)", cfg.Source, f))
+				x.mu.Unlock()
+			}
 			break
 		}
-		if rec.Detect != cfg.Detect {
-			break
-		}
-		if rec.Dropped {
+		if fr.Rec.Dropped {
 			continue
 		}
-		dets, ok := cfg.Store.GetDets(cfg.Source, cfg.Detect, f)
-		if !ok {
-			st.FaultStopped = x.noteFaultStop(cfg.Store, faultBase, cfg.Source, f)
-			break
-		}
-		ids, have := rec.IDs[cfg.Class]
-		classDets := classDetsOf(dets, cfg.Class)
-		if !have || len(ids) != len(classDets) {
+		dets, ids, have := fr.Class(cfg.Class, buf)
+		buf = dets
+		if !have {
 			// The archive has no from-zero track ids for this class under
 			// this signature at f (e.g. a cold mid-stream attach archived
 			// the frame id-less): nothing trustworthy to index past here.
 			break
 		}
-		for i, d := range classDets {
+		for i, d := range dets {
 			if ids[i] >= 0 {
 				x.sight(cfg, ids[i], f, d, touched, &st)
 			}
@@ -141,7 +134,7 @@ func (x *Index) Extract(cfg ExtractConfig, upto int) (ExtractStats, error) {
 			x.appendLocked(&segRecord{Kind: recEntry, Entry: *e})
 		}
 	}
-	ck := coverKey(cfg.Source, cfg.Sig)
+	ck := coverKey{cfg.Source, cfg.Sig}
 	if f > x.covered[ck] {
 		x.covered[ck] = f
 		x.appendLocked(&segRecord{Kind: recCoverage,
@@ -150,25 +143,10 @@ func (x *Index) Extract(cfg ExtractConfig, upto int) (ExtractStats, error) {
 	return st, nil
 }
 
-// noteFaultStop distinguishes a faulted store read from a genuinely
-// missing record and books the index_faulted_reads counter — the signal
-// that a range was left uncovered by chaos, not by absence.
-func (x *Index) noteFaultStop(s *store.Store, faultBase int64, source string, frame int) bool {
-	if storeFaultReads(s) == faultBase {
-		return false
-	}
-	x.counters.Add("index_faulted_reads", 1)
-	x.mu.Lock()
-	x.warnings = append(x.warnings, fmt.Sprintf(
-		"index: store read fault at %s frame %d; coverage stops there (full-rescan fallback)", source, frame))
-	x.mu.Unlock()
-	return true
-}
-
 // sight folds one archived detection of a live track into the index:
 // span extension for a known track, embed-and-insert for a new one.
-func (x *Index) sight(cfg ExtractConfig, track, frame int, d store.Detection, touched map[string]bool, st *ExtractStats) {
-	k := entryKey(cfg.Source, cfg.Sig, cfg.Class, track)
+func (x *Index) sight(cfg ExtractConfig, track, frame int, d store.Detection, touched map[entryKey]bool, st *ExtractStats) {
+	k := entryKey{cfg.Source, cfg.Sig, cfg.Class, track}
 	x.mu.Lock()
 	if e, ok := x.entries[k]; ok {
 		if frame > e.Last {
@@ -203,19 +181,6 @@ func (x *Index) sight(cfg ExtractConfig, track, frame int, d store.Detection, to
 	x.mu.Unlock()
 }
 
-// classDetsOf filters archived detections to one class, preserving
-// order — the same subsequence the shared tracker consumed, which is
-// what rec.IDs[class] is parallel to.
-func classDetsOf(dets []store.Detection, class int) []store.Detection {
-	var out []store.Detection
-	for _, d := range dets {
-		if d.Class == class {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Appearance is one track's first archived sighting within a walked
 // frame range — the crop the appearance predicate embeds.
 type Appearance struct {
@@ -227,31 +192,28 @@ type Appearance struct {
 
 // StoreAppearances walks archived frames [from, to) of (source, sig)
 // and returns each distinct track's first sighting, in first-frame
-// order. Frames without a usable record (missing, detector mismatch,
-// dropped, or no from-zero ids) contribute nothing — the same skip
-// rules extraction applies, so for any range extraction fully covered
-// the two walks see identical first sightings. This is the shared
-// definition of "a track's appearance" used by the index (at extract
-// time) and by the full-rescan search path (at query time); sharing it
+// order. Frames the archive cannot serve, dropped frames and frames
+// without from-zero ids contribute nothing. The walk reads through the
+// same store.ScanReader as Extract and differs only in policy — it
+// skips an unusable frame where extraction stops — so for any range
+// extraction fully covered the two see identical first sightings; that
 // is what makes probe-then-verify bit-identical to the full scan.
 func StoreAppearances(st *store.Store, source, sig, detect string, class, from, to int) []Appearance {
 	var out []Appearance
 	seen := make(map[int]bool)
+	scans := st.Scans(source, sig, detect)
+	var buf []store.Detection
 	for f := from; f < to; f++ {
-		rec, ok := st.GetScan(source, sig, f)
-		if !ok || rec.Detect != detect || rec.Dropped {
+		fr, miss := scans.Frame(f, true)
+		if miss != store.MissNone || fr.Rec.Dropped {
 			continue
 		}
-		dets, ok := st.GetDets(source, detect, f)
-		if !ok {
+		dets, ids, have := fr.Class(class, buf)
+		buf = dets
+		if !have {
 			continue
 		}
-		ids, have := rec.IDs[class]
-		classDets := classDetsOf(dets, class)
-		if !have || len(ids) != len(classDets) {
-			continue
-		}
-		for i, d := range classDets {
+		for i, d := range dets {
 			id := ids[i]
 			if id < 0 || seen[id] {
 				continue

@@ -95,3 +95,40 @@ func TestExtractStoreReadFaultStopsCoverage(t *testing.T) {
 	}
 	failScans.Store(false)
 }
+
+// TestExtractAbsenceNotBlamedOnAnotherSourcesFaults: the store is shared
+// by every source of a daemon, so "did my read fault" must come from the
+// read itself. One goroutine extracts over a source the archive never
+// saw while another takes injected read faults on a different source of
+// the same store; the extraction must report plain absence every time.
+// Run under -race.
+func TestExtractAbsenceNotBlamedOnAnotherSourcesFaults(t *testing.T) {
+	f := newFixture(t, 105, 2, store.Options{
+		MemRecords: 1,
+		ReadFault:  func(string) error { return errors.New("injected read fault") },
+	})
+	x := openTestIndex(t, t.TempDir(), 105)
+	const rounds = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		scans := f.st.Scans(fxSource, fxSig, fxDetect)
+		for i := 0; i < rounds; i++ {
+			if _, miss := scans.Frame(i%(len(f.v.Frames)-1), true); miss != store.MissFaulted {
+				t.Errorf("read %d of the archived source: miss = %v, want a fault", i, miss)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		s, err := x.Extract(f.config("ghost", nil), len(f.v.Frames))
+		if err != nil || s.FaultStopped || s.To != 0 {
+			t.Errorf("round %d: extraction over an unarchived source = %+v, %v; want a plain stop at 0", i, s, err)
+			break
+		}
+	}
+	<-done
+	if got := x.Counters().Get("index_faulted_reads"); got != 0 {
+		t.Errorf("index_faulted_reads = %d, want 0", got)
+	}
+}

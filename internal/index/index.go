@@ -131,9 +131,9 @@ type Index struct {
 	log     *reclog.Log
 	memOnly bool
 
-	entries map[string]*Entry       // source ⨯ sig ⨯ class ⨯ track
-	parts   map[string][]*partition // source ⨯ sig ⨯ class
-	covered map[string]int          // source ⨯ sig → contiguous extracted prefix
+	entries map[entryKey]*Entry
+	parts   map[partKey][]*partition
+	covered map[coverKey]int // contiguous extracted prefix
 
 	// extractMu serializes extraction passes so two concurrent Extract
 	// calls cannot interleave their coverage walks; probes are not
@@ -148,17 +148,20 @@ type Index struct {
 // segmentsName is the segment log file inside the index directory.
 const segmentsName = "segments.log"
 
-func entryKey(source, sig string, class, track int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%d", source, sig, class, track)
+// entryKey, partKey and coverKey are the map keys of the in-memory
+// structure: comparable structs, unambiguous for any source / signature
+// strings.
+type entryKey struct {
+	source, sig  string
+	class, track int
 }
 
-func partKey(source, sig string, class int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d", source, sig, class)
+type partKey struct {
+	source, sig string
+	class       int
 }
 
-func coverKey(source, sig string) string {
-	return fmt.Sprintf("%s\x00%s", source, sig)
-}
+type coverKey struct{ source, sig string }
 
 // Open opens (creating if needed) the index rooted at dir for the given
 // identity. A directory written under a different seed, format version,
@@ -176,9 +179,9 @@ func Open(dir string, meta Meta) (*Index, error) {
 	}
 	x := &Index{
 		dir: dir, meta: meta,
-		entries:  make(map[string]*Entry),
-		parts:    make(map[string][]*partition),
-		covered:  make(map[string]int),
+		entries:  make(map[entryKey]*Entry),
+		parts:    make(map[partKey][]*partition),
+		covered:  make(map[coverKey]int),
 		counters: metrics.NewCounters(),
 	}
 
@@ -222,7 +225,7 @@ func Open(dir string, meta Meta) (*Index, error) {
 	// entries, so a lost suffix always loses the coverage claim before
 	// the entries it covered.
 	if rec.Corrupt > 0 && len(x.covered) > 0 {
-		x.covered = make(map[string]int)
+		x.covered = make(map[coverKey]int)
 		x.warnings = append(x.warnings,
 			"index: corrupt record voided coverage; re-extract to re-establish the probe path")
 	}
@@ -239,7 +242,7 @@ func (x *Index) applyRecord(rec *segRecord) {
 		e := rec.Entry
 		x.insertEntry(&e)
 	case recCoverage:
-		ck := coverKey(rec.Coverage.Source, rec.Coverage.Sig)
+		ck := coverKey{rec.Coverage.Source, rec.Coverage.Sig}
 		if rec.Coverage.Upto > x.covered[ck] {
 			x.covered[ck] = rec.Coverage.Upto
 		}
@@ -249,7 +252,7 @@ func (x *Index) applyRecord(rec *segRecord) {
 // insertEntry installs or updates one entry under x.mu (or during
 // single-threaded open).
 func (x *Index) insertEntry(e *Entry) {
-	k := entryKey(e.Source, e.Sig, e.Class, e.Track)
+	k := entryKey{e.Source, e.Sig, e.Class, e.Track}
 	if have, ok := x.entries[k]; ok {
 		have.Last = e.Last
 		have.Frames = e.Frames
@@ -260,7 +263,7 @@ func (x *Index) insertEntry(e *Entry) {
 	if len(e.Vec) == 0 {
 		return
 	}
-	pk := partKey(e.Source, e.Sig, e.Class)
+	pk := partKey{e.Source, e.Sig, e.Class}
 	parts := x.parts[pk]
 	best, bestCos := -1, attachCos
 	for i, p := range parts {
@@ -344,7 +347,7 @@ func (x *Index) Warnings() []string {
 func (x *Index) Covered(source, sig string) int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return x.covered[coverKey(source, sig)]
+	return x.covered[coverKey{source, sig}]
 }
 
 // FeatureOf returns the indexed appearance embedding of one track — the
@@ -353,7 +356,7 @@ func (x *Index) Covered(source, sig string) int {
 func (x *Index) FeatureOf(source, sig string, class, track int) ([]float64, bool) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	e, ok := x.entries[entryKey(source, sig, class, track)]
+	e, ok := x.entries[entryKey{source, sig, class, track}]
 	if !ok || len(e.Vec) == 0 {
 		return nil, false
 	}
@@ -483,7 +486,7 @@ func (x *Index) Probe(env *models.Env, source, sig string, class int, feature []
 	var out []Entry
 	scanned, prunedEntries, scannedParts := 0, 0, 0
 	bound := angleOf(threshold)
-	for _, p := range x.parts[partKey(source, sig, class)] {
+	for _, p := range x.parts[partKey{source, sig, class}] {
 		if len(feature) > 0 {
 			qAngle := angleOf(models.Cosine(p.center, feature))
 			if qAngle-p.maxAngle > bound+pruneEps {

@@ -1,8 +1,8 @@
 // Package lint holds the repository's in-tree hygiene checkers: the
 // doc-comment lint (the revive `exported` rule, reimplemented on go/ast
 // so CI needs no external tool) and the markdown link checker. Both are
-// enforced twice — by `go test ./internal/lint` (tier-1, so they cannot
-// rot silently) and by explicit `cmd/vqlint` steps in CI.
+// enforced by `go test ./internal/lint` — tier-1 and CI's build-test
+// job — over the one path list in lint_test.go (repoDocPaths).
 package lint
 
 import (

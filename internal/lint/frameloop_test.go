@@ -16,9 +16,9 @@ import (
 // backfill, index verification, fidelity replay — must go through the
 // one per-frame step and the one archived-scan reader. Structurally, in
 // the package's non-test files: runFrame and finalize are each called
-// from exactly one place, the store's scan records are read
-// (GetScanRef) from at most two functions, and MuxStream's mutex is
-// only ever named in mux.go.
+// from exactly one place, the store's archived-frame reader
+// (store.ScanReader.Frame) from exactly one function, archivedScan, and
+// MuxStream's mutex is only ever named in mux.go.
 func TestExecHasOneFrameLoop(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "exec")
 	fset := token.NewFileSet()
@@ -69,13 +69,13 @@ func TestExecHasOneFrameLoop(t *testing.T) {
 			t.Errorf("%s has %d call sites, want exactly 1 (the lane step): %v", name, len(sites), sites)
 		}
 	}
-	if fns := callers["GetScanRef"]; len(fns) == 0 || len(fns) > 2 {
+	if fns := callers["Frame"]; len(fns) != 1 || !fns["archivedScan"] {
 		names := make([]string, 0, len(fns))
 		for fn := range fns {
 			names = append(names, fn)
 		}
 		sort.Strings(names)
-		t.Errorf("GetScanRef is called from %d functions %v, want 1 or 2 (the archived-scan reader)", len(fns), names)
+		t.Errorf("the store's ScanReader.Frame is called from %v, want exactly [archivedScan]", names)
 	}
 	for _, pos := range muxMuOutside {
 		t.Errorf("%s: MuxStream.mu named outside mux.go; lock only in mux.go's methods", pos)

@@ -99,8 +99,8 @@ func TestCheckMarkdownLinksFindsBroken(t *testing.T) {
 }
 
 // repoDocPaths lists the packages whose public surface the repository
-// commits to keeping documented (the godoc contract, also enforced as
-// an explicit CI step through cmd/vqlint).
+// commits to keeping documented (the godoc contract). It is the one
+// list: CI enforces it by running this package's tests.
 func repoDocPaths(t *testing.T) []string {
 	t.Helper()
 	root := "../.."
@@ -113,9 +113,11 @@ func repoDocPaths(t *testing.T) []string {
 		filepath.Join(root, "internal/exec"),
 		filepath.Join(root, "internal/serve"),
 		filepath.Join(root, "internal/store"),
+		filepath.Join(root, "internal/index"),
 		filepath.Join(root, "internal/reclog"),
 		filepath.Join(root, "internal/lint"),
 		filepath.Join(root, "internal/fleet"),
+		filepath.Join(root, "internal/fault"),
 		filepath.Join(root, "internal/video"),
 		filepath.Join(root, "internal/track"),
 		filepath.Join(root, "internal/config"),
@@ -128,7 +130,8 @@ func repoDocPaths(t *testing.T) []string {
 
 // TestRepoDocComments enforces the doc-comment rule over the repo's
 // public API surface: the facade plus the plan / exec / serve / store /
-// fleet / video / track / config / metrics / models / bench packages.
+// index / fleet / fault / video / track / config / metrics / models /
+// bench packages.
 // A failure names each undocumented exported identifier.
 func TestRepoDocComments(t *testing.T) {
 	issues, err := CheckDocs(repoDocPaths(t))

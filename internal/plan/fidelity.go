@@ -253,17 +253,12 @@ func (pl *Planner) calibrateFidelity(src video.FrameSource, fid video.Fidelity, 
 	stride := fid.NormStride()
 	agree := 0
 	present := false
+	var ofClass []store.Detection
 	for i := 0; i < upto; i++ {
 		if i%stride == 0 {
-			present = false
-			if dets, ok := pl.opts.Store.GetDets(source, fid.Detector, i); ok {
-				for j := range dets {
-					if dets[j].Class == class {
-						present = true
-						break
-					}
-				}
-			}
+			dets, _ := pl.opts.Store.GetDets(source, fid.Detector, i)
+			ofClass = store.ClassDets(dets, class, ofClass)
+			present = len(ofClass) > 0
 		}
 		truth := false
 		for _, o := range v.Frames[i].Objects {
@@ -334,7 +329,7 @@ func (pl *Planner) PlanFidelity(q *core.Query, src video.FrameSource, frames int
 		// this decision; the planner degrades to the next-cheapest
 		// satisfying candidate instead of betting the query on a broken
 		// archive.
-		if _, ok := pl.opts.Store.GetScan(source, e.ScanKey, 0); !ok {
+		if _, miss := pl.opts.Store.Scans(source, e.ScanKey, e.Detector).Frame(0, false); miss != store.MissNone {
 			d.SkippedUnreadable = append(d.SkippedUnreadable, e.Key)
 			continue
 		}

@@ -18,7 +18,8 @@ package plan
 // predicate is defined as "cosine of the track's embedding at its first
 // archived sighting vs. the exemplar ≥ threshold", the index stores
 // exactly that embedding (index.Extract and index.StoreAppearances
-// share one walk definition), the probe's partition pruning is a
+// read frames through the one store.ScanReader, so they cannot disagree
+// on which sightings exist), the probe's partition pruning is a
 // triangle-inequality bound over the same models.Cosine both paths
 // call, and the wrapped plan is compiled with DisableMemo so per-frame
 // verdicts cannot depend on which frames happened to be processed.

@@ -218,8 +218,9 @@ func TestCrashPointsStore(t *testing.T) {
 		s := open()
 		served := 0
 		for f := 0; f < frames+1; f++ {
-			got, ok := s.GetScan("cam", "sig", f)
-			if !ok {
+			fr, miss := s.Scans("cam", "sig", "yolox").Frame(f, false)
+			got := fr.Rec
+			if miss != store.MissNone {
 				if f < intact {
 					t.Fatalf("%s: undamaged frame %d is a miss", desc, f)
 				}
@@ -252,8 +253,8 @@ func TestCrashPointsStore(t *testing.T) {
 		if st := s2.TierStats(); st.ScanRecords != intact+1 || st.CorruptRecords != 0 || len(s2.Warnings()) != 0 {
 			t.Fatalf("%s: after put+reopen %+v, warnings %v; want %d records and a clean scan", desc, st, s2.Warnings(), intact+1)
 		}
-		if got, ok := s2.GetScan("cam", "sig", intact); !ok || !reflect.DeepEqual(got, written(intact)) {
-			t.Fatalf("%s: record put after recovery reads back as %+v, %v", desc, got, ok)
+		if got, miss := s2.Scans("cam", "sig", "yolox").Frame(intact, false); miss != store.MissNone || !reflect.DeepEqual(got.Rec, written(intact)) {
+			t.Fatalf("%s: record put after recovery reads back as %+v, %v", desc, got.Rec, miss)
 		}
 	})
 }

@@ -2,8 +2,8 @@ package store
 
 // Corruption-recovery under concurrency: a store that truncated a torn
 // tail and CRC-skipped a poisoned record at open must serve the
-// surviving log correctly while pinned readers, plain readers and
-// writers race against the hot tier's eviction pressure. Run under
+// surviving log correctly while readers and writers race against the
+// hot tier's eviction pressure. Run under
 // -race (CI does).
 
 import (
@@ -15,11 +15,11 @@ import (
 	"testing"
 )
 
-// TestCorruptionRecoveryUnderPinnedReaders seeds a log, poisons one
+// TestCorruptionRecoveryUnderConcurrentReaders seeds a log, poisons one
 // record's payload (bad CRC) and tears the tail, then reopens with a
 // tiny hot tier and hammers the recovered store from goroutines that
-// hold GetScanRef pins across other reads and writes.
-func TestCorruptionRecoveryUnderPinnedReaders(t *testing.T) {
+// hold records across other reads and writes.
+func TestCorruptionRecoveryUnderConcurrentReaders(t *testing.T) {
 	const frames = 48
 	dir := t.TempDir()
 	s := openTest(t, dir, 11, 8)
@@ -61,30 +61,29 @@ func TestCorruptionRecoveryUnderPinnedReaders(t *testing.T) {
 			for f := 1; f < frames; f++ {
 				switch (f + g) % 3 {
 				case 0:
-					// Pinned read: hold the ref across sibling reads so the
-					// evictor must skip it while writers churn the hot tier.
-					rec, release, ok := s2.GetScanRef("cam", "sig", f)
+					// Held read: keep the record across a sibling read while
+					// writers churn its hot-tier entry out — eviction must
+					// not disturb a record a reader already holds.
+					rec, ok := getScan(s2, "cam", "sig", f)
 					if !ok {
 						t.Errorf("goroutine %d: surviving frame %d unreadable", g, f)
 						return
 					}
-					if got, ok := s2.GetScan("cam", "sig", (f%(frames-1))+1); !ok || got == nil {
-						t.Errorf("goroutine %d: read under pin failed at %d", g, f)
-						release()
+					if got, ok := getScan(s2, "cam", "sig", (f%(frames-1))+1); !ok || got == nil {
+						t.Errorf("goroutine %d: sibling read failed at %d", g, f)
 						return
 					}
 					if rec.Frame != f {
-						t.Errorf("goroutine %d: pinned frame %d decoded as %d", g, f, rec.Frame)
+						t.Errorf("goroutine %d: held frame %d decoded as %d", g, f, rec.Frame)
 					}
-					release()
 				case 1:
-					if _, ok := s2.GetScan("cam", "sig", f); !ok {
+					if _, ok := getScan(s2, "cam", "sig", f); !ok {
 						t.Errorf("goroutine %d: surviving frame %d unreadable", g, f)
 						return
 					}
 				case 2:
-					// Fresh appends keep eviction pressure on the pins and
-					// prove the recovered log accepts writes.
+					// Fresh appends keep eviction pressure on the readers
+					// and prove the recovered log accepts writes.
 					if err := s2.PutScan(scanRec("cam", fmt.Sprintf("sig%d", g), frames+f)); err != nil {
 						t.Errorf("goroutine %d: append after recovery: %v", g, err)
 						return
@@ -95,11 +94,11 @@ func TestCorruptionRecoveryUnderPinnedReaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, ok := s2.GetScan("cam", "sig", 0); ok {
+	if _, ok := getScan(s2, "cam", "sig", 0); ok {
 		t.Error("CRC-poisoned record served after recovery")
 	}
 	for f := 1; f < frames; f++ {
-		if got, ok := s2.GetScan("cam", "sig", f); !ok || got.Frame != f {
+		if got, ok := getScan(s2, "cam", "sig", f); !ok || got.Frame != f {
 			t.Fatalf("surviving frame %d lost after concurrent churn: %+v, %v", f, got, ok)
 		}
 	}
@@ -147,7 +146,7 @@ func TestWriteFaultDegradesTierUnderConcurrency(t *testing.T) {
 					t.Errorf("goroutine %d: PutScan must absorb the write fault, got %v", g, err)
 					return
 				}
-				if got, ok := s.GetScan("cam", fmt.Sprintf("sig%d", g), f); !ok || got.Frame != f {
+				if got, ok := getScan(s, "cam", fmt.Sprintf("sig%d", g), f); !ok || got.Frame != f {
 					t.Errorf("goroutine %d: mem-only record %d unreadable right after put", g, f)
 					return
 				}
@@ -216,7 +215,7 @@ func TestReadFaultServedAsMissUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for f := 0; f < 32; f++ {
-				if _, ok := s2.GetScan("cam", "sig", f); !ok {
+				if _, ok := getScan(s2, "cam", "sig", f); !ok {
 					misses[g]++
 				}
 			}
@@ -241,7 +240,7 @@ func TestReadFaultServedAsMissUnderConcurrency(t *testing.T) {
 	// Lift the fault: everything durable is readable again.
 	fail = false
 	for f := 0; f < 32; f++ {
-		if got, ok := s2.GetScan("cam", "sig", f); !ok || got.Frame != f {
+		if got, ok := getScan(s2, "cam", "sig", f); !ok || got.Frame != f {
 			t.Fatalf("frame %d unreadable after faults lifted: %+v, %v", f, got, ok)
 		}
 	}

@@ -23,6 +23,11 @@
 // misses by key construction (the scan signature and label keys embed
 // the model).
 //
+// How one frame of one scan group is laid out across the tiers, and
+// what makes it unusable, is decided in scan.go and nowhere else:
+// ScanReader is the only way out of the scans tier, and every consumer
+// reads through it and gets a typed Miss when the archive cannot serve.
+//
 // The store is safe for concurrent use; all operations serialize behind
 // one mutex (records are small and reads are index lookups, so the lock
 // is never held across model work).
@@ -31,7 +36,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"vqpy/internal/geom"
@@ -83,9 +87,10 @@ type Store struct {
 	dir  string
 	meta Meta
 
-	scans  *tier // ScanRecord:  source ⨯ scan signature ⨯ frame
-	dets   *tier // DetRecord:   source ⨯ detector model ⨯ frame
-	labels *tier // LabelRecord: source ⨯ model ⨯ frame ⨯ box ⨯ object
+	scans  *tier[scanKey, ScanRecord]
+	dets   *tier[detKey, DetRecord]
+	labels *tier[labelKey, LabelRecord]
+	logs   []*reclog.Log // the opened tiers' logs, for Close
 
 	counters   *metrics.Counters
 	warnings   []string
@@ -130,26 +135,16 @@ func Open(dir string, meta Meta, opts Options) (*Store, error) {
 		s.warnings = append(s.warnings, warning)
 	}
 
-	for _, k := range []struct {
-		dst    **tier
-		name   string
-		decode func(frame []byte) (string, any, error)
-	}{
-		{&s.scans, "scans", decodeAs(func(r *ScanRecord) string { return scanKey(r.Source, r.ScanKey, r.Frame) })},
-		{&s.dets, "dets", decodeAs(func(r *DetRecord) string { return detKey(r.Source, r.Model, r.Frame) })},
-		{&s.labels, "labels", decodeAs(func(r *LabelRecord) string {
-			return labelKey(r.Source, r.Model, r.Frame, r.X1, r.Y1, r.X2, r.Y2, r.TruthID)
-		})},
-	} {
-		t, warns, err := openTier(filepath.Join(dir, k.name+".log"), k.name, opts.MemRecords, k.decode)
-		if err != nil {
-			s.closeTiers()
-			return nil, fmt.Errorf("store: %s: %w", k.name, err)
-		}
-		t.readFault = opts.ReadFault
-		s.warnings = append(s.warnings, warns...)
-		s.counters.Add("corrupt_records", int64(t.corrupt))
-		*k.dst = t
+	s.scans, err = openTier(s, "scans", "scan", opts, (*ScanRecord).key)
+	if err == nil {
+		s.dets, err = openTier(s, "dets", "det", opts, (*DetRecord).key)
+	}
+	if err == nil {
+		s.labels, err = openTier(s, "labels", "label", opts, (*LabelRecord).key)
+	}
+	if err != nil {
+		s.closeTiers()
+		return nil, err
 	}
 	s.writeFault = opts.WriteFault
 	s.loadFidelity()
@@ -177,11 +172,8 @@ func (s *Store) Close() error {
 // error.
 func (s *Store) closeTiers() error {
 	var first error
-	for _, t := range []*tier{s.scans, s.dets, s.labels} {
-		if t == nil {
-			continue
-		}
-		if err := t.log.Close(); err != nil && first == nil {
+	for _, log := range s.logs {
+		if err := log.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -201,165 +193,54 @@ func (s *Store) Warnings() []string {
 	return append([]string(nil), s.warnings...)
 }
 
-// scanKey / detKey / labelKey build the index keys. \x00 separators keep
-// compound keys unambiguous for any source / model / signature strings.
-func scanKey(source, sig string, frame int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d", source, sig, frame)
+// scanKey, detKey and labelKey are the tiers' index keys: comparable
+// structs, so a lookup allocates nothing and compound keys are
+// unambiguous for any source / model / signature strings.
+type scanKey struct {
+	source, sig string
+	frame       int
 }
 
-func detKey(source, model string, frame int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d", source, model, frame)
+type detKey struct {
+	source, model string
+	frame         int
 }
 
-func labelKey(source, model string, frame int, x1, y1, x2, y2, truthID int) string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%d,%d,%d,%d\x00%d", source, model, frame, x1, y1, x2, y2, truthID)
+type labelKey struct {
+	source, model  string
+	frame          int
+	x1, y1, x2, y2 int
+	truthID        int
 }
 
-// decodeAs builds a tier's decoder for record type R: gob-decode the
-// frame and derive the index key from the record's own fields.
-func decodeAs[R any](key func(*R) string) func(frame []byte) (string, any, error) {
-	return func(frame []byte) (string, any, error) {
-		r := new(R)
-		if err := reclog.Decode(frame, r); err != nil {
-			return "", nil, err
-		}
-		return key(r), r, nil
-	}
+func (r *ScanRecord) key() scanKey { return scanKey{r.Source, r.ScanKey, r.Frame} }
+
+func (r *DetRecord) key() detKey { return detKey{r.Source, r.Model, r.Frame} }
+
+func (r *LabelRecord) key() labelKey {
+	return labelKey{r.Source, r.Model, r.Frame, r.X1, r.Y1, r.X2, r.Y2, r.TruthID}
 }
 
-// put frames and appends one record under the store lock.
-func (s *Store) put(t *tier, kind, key string, val any) error {
-	framed, err := reclog.Encode(val)
-	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", kind, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: %s put on closed store", kind)
-	}
-	if t.memOnly {
-		t.install(key, val)
-		s.counters.Add(kind+"_puts_mem_only", 1)
-		return nil
-	}
-	if s.writeFault != nil {
-		err = s.writeFault(t.name)
-	}
-	if err == nil {
-		err = t.put(key, val, framed)
-	}
-	if err != nil {
-		// A failed append downgrades the whole tier to memory-only
-		// rather than failing the query: the store is a cache, so
-		// serving from memory (and recomputing what falls out) is always
-		// correct — only cross-process reuse is lost. Appending past a
-		// failed write is not attempted again: the log tail state is
-		// unknown, and a gap would corrupt the framing.
-		s.degradeTierLocked(t, kind, err)
-		t.install(key, val)
-		s.counters.Add(kind+"_puts_mem_only", 1)
-		return nil
-	}
-	s.counters.Add(kind+"_puts", 1)
-	return nil
-}
-
-// degradeTierLocked flips one tier into memory-only mode after a write
-// failure. Callers hold s.mu.
-func (s *Store) degradeTierLocked(t *tier, kind string, err error) {
-	s.counters.Add(kind+"_write_failures", 1)
-	if !t.memOnly {
-		t.memOnly = true
-		s.counters.Add("tier_degraded_mem_only", 1)
-		s.warnings = append(s.warnings, fmt.Sprintf(
-			"store: %s: append failed (%v); tier degraded to memory-only", t.name, err))
-	}
-}
-
-// get reads one record under the store lock, counting tier hits.
-func (s *Store) get(t *tier, kind, key string) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false
-	}
-	faultedBefore := t.faultedReads
-	v, memHit, ok := t.get(key)
-	if t.faultedReads > faultedBefore {
-		s.counters.Add(kind+"_faulted_reads", 1)
-	}
-	switch {
-	case !ok:
-		s.counters.Add(kind+"_misses", 1)
-	case memHit:
-		s.counters.Add(kind+"_mem_hits", 1)
-	default:
-		s.counters.Add(kind+"_disk_hits", 1)
-	}
-	return v, ok
-}
-
-// PutScan persists one scan group's outcome for a frame.
+// PutScan persists one scan group's outcome for a frame. Reading it
+// back is ScanReader's job (scan.go).
 func (s *Store) PutScan(rec *ScanRecord) error {
-	return s.put(s.scans, "scan", scanKey(rec.Source, rec.ScanKey, rec.Frame), rec)
-}
-
-// GetScan returns a frame's persisted scan outcome for one scan-group
-// signature. The returned record is shared and must not be mutated.
-func (s *Store) GetScan(source, sig string, frame int) (*ScanRecord, bool) {
-	v, ok := s.get(s.scans, "scan", scanKey(source, sig, frame))
-	if !ok {
-		return nil, false
-	}
-	return v.(*ScanRecord), true
-}
-
-// GetScanRef is GetScan plus a pin: the record's hot-tier entry is
-// protected from LRU eviction until release is called. Long replays
-// (backfill over thousands of frames) pin each record only while
-// reading it, so churn from concurrent queries cannot thrash an entry
-// out from under the replay mid-read.
-func (s *Store) GetScanRef(source, sig string, frame int) (rec *ScanRecord, release func(), ok bool) {
-	key := scanKey(source, sig, frame)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, false
-	}
-	v, memHit, found := s.scans.get(key)
-	if !found {
-		s.counters.Add("scan_misses", 1)
-		return nil, nil, false
-	}
-	if memHit {
-		s.counters.Add("scan_mem_hits", 1)
-	} else {
-		s.counters.Add("scan_disk_hits", 1)
-	}
-	s.scans.pin(key)
-	release = func() {
-		s.mu.Lock()
-		s.scans.unpin(key)
-		s.mu.Unlock()
-	}
-	return v.(*ScanRecord), release, true
+	return put(s, s.scans, rec)
 }
 
 // PutDets persists one detector invocation's raw output.
 func (s *Store) PutDets(source, model string, frame int, dets []Detection) error {
 	rec := &DetRecord{Source: source, Model: model, Frame: frame, Dets: dets}
-	return s.put(s.dets, "det", detKey(source, model, frame), rec)
+	return put(s, s.dets, rec)
 }
 
 // GetDets returns a frame's persisted raw detector output. The returned
 // slice is shared and must not be mutated.
 func (s *Store) GetDets(source, model string, frame int) ([]Detection, bool) {
-	v, ok := s.get(s.dets, "det", detKey(source, model, frame))
-	if !ok {
+	rec, miss := get(s, s.dets, detKey{source, model, frame})
+	if miss != MissNone {
 		return nil, false
 	}
-	return v.(*DetRecord).Dets, true
+	return rec.Dets, true
 }
 
 // PutLabel persists one per-crop model output. Values of types the
@@ -370,39 +251,23 @@ func (s *Store) PutLabel(source, model string, frame int, box geom.BBox, truthID
 		s.counters.Add("label_skipped_type", 1)
 		return nil
 	}
-	x1, y1, x2, y2 := int(box.X1), int(box.Y1), int(box.X2), int(box.Y2)
 	rec := &LabelRecord{
 		Source: source, Model: model, Frame: frame,
-		X1: x1, Y1: y1, X2: x2, Y2: y2, TruthID: truthID, Value: value,
+		X1: int(box.X1), Y1: int(box.Y1), X2: int(box.X2), Y2: int(box.Y2),
+		TruthID: truthID, Value: value,
 	}
-	return s.put(s.labels, "label", labelKey(source, model, frame, x1, y1, x2, y2, truthID), rec)
+	return put(s, s.labels, rec)
 }
 
 // GetLabel returns a persisted per-crop model output.
 func (s *Store) GetLabel(source, model string, frame int, box geom.BBox, truthID int) (any, bool) {
-	x1, y1, x2, y2 := int(box.X1), int(box.Y1), int(box.X2), int(box.Y2)
-	v, ok := s.get(s.labels, "label", labelKey(source, model, frame, x1, y1, x2, y2, truthID))
-	if !ok {
+	rec, miss := get(s, s.labels, labelKey{
+		source, model, frame, int(box.X1), int(box.Y1), int(box.X2), int(box.Y2), truthID,
+	})
+	if miss != MissNone {
 		return nil, false
 	}
-	return v.(*LabelRecord).Value, true
-}
-
-// CoversScans reports whether the store holds a scan record for every
-// frame in [0, frames) of (source, sig) — the precondition for a
-// backfill replay.
-func (s *Store) CoversScans(source, sig string, frames int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	for f := 0; f < frames; f++ {
-		if _, ok := s.scans.idx[scanKey(source, sig, f)]; !ok {
-			return false
-		}
-	}
-	return true
+	return rec.Value, true
 }
 
 // Stats is a point-in-time summary of the store's tiers.
@@ -430,17 +295,18 @@ func (s *Store) TierStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		ScanRecords:     len(s.scans.idx),
-		DetRecords:      len(s.dets.idx),
-		LabelRecords:    len(s.labels.idx),
-		MemRecords:      len(s.scans.mem) + len(s.dets.mem) + len(s.labels.mem),
-		Evicted:         s.scans.evicted + s.dets.evicted + s.labels.evicted,
-		CorruptRecords:  s.scans.corrupt + s.dets.corrupt + s.labels.corrupt,
-		FaultedReads:    s.scans.faultedReads + s.dets.faultedReads + s.labels.faultedReads,
+		ScanRecords:    len(s.scans.idx),
+		DetRecords:     len(s.dets.idx),
+		LabelRecords:   len(s.labels.idx),
+		MemRecords:     len(s.scans.mem) + len(s.dets.mem) + len(s.labels.mem),
+		Evicted:        s.scans.evicted + s.dets.evicted + s.labels.evicted,
+		CorruptRecords: s.scans.corrupt + s.dets.corrupt + s.labels.corrupt,
+		FaultedReads: int(s.counters.Get(s.scans.ctr.faultedReads) + s.counters.Get(s.dets.ctr.faultedReads) +
+			s.counters.Get(s.labels.ctr.faultedReads)),
 		FidelityEntries: len(s.fidelity),
 	}
-	for _, t := range []*tier{s.scans, s.dets, s.labels} {
-		if t.memOnly {
+	for _, memOnly := range []bool{s.scans.memOnly, s.dets.memOnly, s.labels.memOnly} {
+		if memOnly {
 			st.MemOnlyTiers++
 		}
 	}

@@ -8,9 +8,9 @@ import (
 	"vqpy/internal/geom"
 )
 
-// TestConcurrentAccess drives writers, readers and pinned readers from
-// many goroutines at once — the shape of MuxStream lanes populating the
-// store while a backfill replays and a rescan reads. Run under -race.
+// TestConcurrentAccess drives writers and readers from many goroutines
+// at once — the shape of MuxStream lanes populating the store while a
+// backfill replays and a rescan reads. Run under -race.
 func TestConcurrentAccess(t *testing.T) {
 	s := openTest(t, t.TempDir(), 7, 32)
 	defer s.Close()
@@ -34,11 +34,12 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 				case 1:
-					s.GetScan("cam", sig, f-1)
+					getScan(s, "cam", sig, f-1)
 				case 2:
-					if rec, release, ok := s.GetScanRef("cam", sig, f-2); ok {
-						_ = rec.Frame
-						release()
+					// This goroutine wrote frame f-2 two steps ago, and no
+					// det record with it: the reader crosses both tiers.
+					if fr, miss := s.Scans("cam", sig, "yolox").Frame(f-2, true); miss != MissNoDets || fr.Rec.Frame != f-2 {
+						t.Errorf("frame %d read back as %+v, %v", f-2, fr.Rec, miss)
 					}
 				case 3:
 					if err := s.PutLabel("cam", "m", f, geom.Rect(0, 0, 1, 1), g, fmt.Sprint(g)); err != nil {
